@@ -11,8 +11,8 @@
 //!   server, re-encode each record into a fresh buffer at drain, one
 //!   store write per record.
 //! * **zero_copy** is the shipped path: scatter-gather encode into
-//!   pooled staging buffers with shared payloads, one wire assembly in
-//!   `send_segments`, `decode_shared` payload windows into the message
+//!   pooled staging buffers with shared payloads, one copy of the owned
+//!   runs in `send_segments`, `decode_shared` payload windows into the message
 //!   bytes, pooled drain through `SdfFileWriter::append_block` with one
 //!   scatter-gather store write per block.
 //!
@@ -241,8 +241,9 @@ fn zero_copy_pass(
         msg.encode_segments(&mut pool, &mut segs);
         stages.encode += t0.elapsed().as_secs_f64();
 
-        // `send_segments` assembles the wire image exactly once; the
-        // receiver's Message shares it by refcount.
+        // `send_segments` copies a run of owned segments into one message
+        // part (typed panes encode to owned segments only, so this is the
+        // whole image); the receiver's Message shares it by refcount.
         let t1 = Instant::now();
         let wire: bytes::Bytes = segments_to_vec(&segs).into();
         pool.recycle(&mut segs);

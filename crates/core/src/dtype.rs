@@ -258,6 +258,26 @@ impl ArrayData {
         }
     }
 
+    /// Overwrite this typed array in place with `src`'s payload, decoding
+    /// straight into the existing buffer (no allocation). Returns `false`
+    /// and leaves `self` untouched unless `self` is typed with the same
+    /// dtype and element count as `src`.
+    pub fn decode_shared_into(&mut self, src: &SharedArray) -> bool {
+        if self.dtype() != src.dtype() || self.len() != src.len() {
+            return false;
+        }
+        let bytes = src.bytes();
+        match self {
+            ArrayData::U8(v) => v.copy_from_slice(bytes),
+            ArrayData::I32(v) => crate::le::array_into(v, bytes, i32::from_le_bytes),
+            ArrayData::I64(v) => crate::le::array_into(v, bytes, i64::from_le_bytes),
+            ArrayData::F32(v) => crate::le::array_into(v, bytes, f32::from_le_bytes),
+            ArrayData::F64(v) => crate::le::array_into(v, bytes, f64::from_le_bytes),
+            ArrayData::Shared(_) => return false,
+        }
+        true
+    }
+
     /// Decode `n_elems` elements of `dtype` from little-endian `bytes`.
     ///
     /// `bytes` must be exactly `n_elems * dtype.size()` long.
@@ -493,6 +513,30 @@ mod tests {
             ArrayData::from_le_shared(DType::U8, 4, bytes::Bytes::from(vec![9u8; 4])).unwrap();
         shared.with_le_bytes(|b| assert_eq!(b, &[9u8; 4]));
         ArrayData::I32(vec![1]).with_le_bytes(|b| assert_eq!(b, &[1, 0, 0, 0]));
+    }
+
+    #[test]
+    fn decode_shared_into_overwrites_in_place_only_on_exact_match() {
+        for typed in [
+            ArrayData::U8(vec![1, 2, 3]),
+            ArrayData::I32(vec![-1, 2, 3]),
+            ArrayData::I64(vec![-4, 5, 6]),
+            ArrayData::F32(vec![0.5, 1.5, 2.5]),
+            ArrayData::F64(vec![3.25, -1.0, 9.0]),
+        ] {
+            let mut le = Vec::new();
+            typed.to_le_bytes(&mut le);
+            let src = SharedArray::new(typed.dtype(), 3, Bytes::from(le)).unwrap();
+            let mut dst = ArrayData::zeros(typed.dtype(), 3);
+            assert!(dst.decode_shared_into(&src));
+            assert_eq!(dst, typed);
+            let mut short = ArrayData::zeros(typed.dtype(), 2);
+            assert!(!short.decode_shared_into(&src), "length mismatch");
+            assert_eq!(short, ArrayData::zeros(typed.dtype(), 2), "left untouched");
+        }
+        let src = SharedArray::new(DType::F64, 1, Bytes::from(vec![0u8; 8])).unwrap();
+        assert!(!ArrayData::F32(vec![0.0; 2]).decode_shared_into(&src), "dtype mismatch");
+        assert!(!ArrayData::Shared(src.clone()).decode_shared_into(&src), "not typed");
     }
 
     #[test]

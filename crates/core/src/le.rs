@@ -72,6 +72,16 @@ pub fn array<const N: usize, T>(bytes: &[u8], decode: impl Fn([u8; N]) -> T) -> 
     out
 }
 
+/// [`array`] into an existing buffer: overwrite `out` element by element
+/// from `bytes`, stopping at whichever runs out first.
+pub fn array_into<const N: usize, T>(out: &mut [T], bytes: &[u8], decode: impl Fn([u8; N]) -> T) {
+    for (o, c) in out.iter_mut().zip(bytes.chunks_exact(N)) {
+        let mut e = [0u8; N];
+        e.copy_from_slice(c);
+        *o = decode(e);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -3,11 +3,11 @@
 //!
 //! An encoder that would otherwise flatten a record into one `Vec<u8>`
 //! instead emits a list of [`Segment`]s: small owned header runs
-//! interleaved with refcounted payload views. The list is assembled into
-//! contiguous bytes exactly once — by the transport
-//! (`rocnet::Comm::send_segments`) or the storage backend
-//! (`rocstore::SharedFs::append_segments`) — instead of at every layer
-//! boundary.
+//! interleaved with refcounted payload views. The list is not flattened
+//! at layer boundaries: the transport (`rocnet::Comm::send_segments`)
+//! ships it as message parts, copying only the owned runs, and the storage
+//! backend (`rocstore::SharedFs::append_segments`) copies it once into the
+//! file.
 
 use bytes::Bytes;
 

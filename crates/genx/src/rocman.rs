@@ -7,8 +7,10 @@
 //! schedule, and it keeps the two clocks the paper's tables report:
 //! computation time and visible I/O time.
 
+use std::sync::OnceLock;
+
 use rocio_core::{Checksum, Result, SimTime, SnapshotId};
-use rocnet::Comm;
+use rocnet::{Bytes, Comm};
 use roccom::{AttrRef, AttrSelector, FunctionRegistry, IoDispatch, Windows};
 
 use crate::burn::BurnModule;
@@ -23,6 +25,13 @@ use crate::solid::SolidModule;
 /// structured blocks; a modelling constant).
 const HALO_BYTES: usize = 32 * 1024;
 const HALO_TAG: u32 = 0x0060_0001;
+
+/// The halo payload: only its length is modelled, so one zero buffer per
+/// process is shared by every rank and step, sent by refcount.
+fn halo_payload() -> Bytes {
+    static HALO: OnceLock<Bytes> = OnceLock::new();
+    HALO.get_or_init(|| Bytes::from(vec![0u8; HALO_BYTES])).clone()
+}
 
 /// The orchestrator.
 pub struct Rocman<'c, 'io> {
@@ -245,9 +254,8 @@ impl<'c, 'io> Rocman<'c, 'io> {
         let me = self.comm.rank();
         let next = (me + 1) % n;
         let prev = (me + n - 1) % n;
-        let halo = vec![0u8; HALO_BYTES];
-        self.comm.send(next, HALO_TAG, &halo)?;
-        self.comm.send(prev, HALO_TAG, &halo)?;
+        self.comm.send_bytes(next, HALO_TAG, halo_payload())?;
+        self.comm.send_bytes(prev, HALO_TAG, halo_payload())?;
         self.comm.recv(Some(prev), Some(HALO_TAG))?;
         self.comm.recv(Some(next), Some(HALO_TAG))?;
         Ok(())

@@ -212,8 +212,15 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
         if let Ok(ds) = block.dataset(&spec.name) {
             // Panes hold typed buffers (solvers mutate them element-wise),
             // so a zero-copy `Shared` payload is decoded here — the single
-            // typed boundary of the restart path.
-            pane.set_data(&spec.name, ds.data.to_typed()?)?;
+            // typed boundary of the restart path, and its one copy: into
+            // the pane's existing buffer when dtype and length match.
+            let in_place = match ds.data.as_shared() {
+                Some(src) => pane.data_mut(&spec.name)?.decode_shared_into(src),
+                None => false,
+            };
+            if !in_place {
+                pane.set_data(&spec.name, ds.data.to_typed()?)?;
+            }
         }
     }
     Ok(())
@@ -349,12 +356,14 @@ mod tests {
         apply_block(&mut w2, &shared_block).unwrap();
         assert_eq!(w2.pane(BlockId(8)).unwrap().mesh, w.pane(BlockId(8)).unwrap().mesh);
         // Typed after install: element-wise mutation must work.
-        w2.pane_mut(BlockId(8))
-            .unwrap()
-            .data_mut("disp")
-            .unwrap()
-            .as_f64_mut()
-            .unwrap()[0] = 1.5;
+        let disp = w2.pane_mut(BlockId(8)).unwrap().data_mut("disp").unwrap();
+        disp.as_f64_mut().unwrap()[0] = 1.5;
+        let buf = disp.as_f64().unwrap().as_ptr();
+        // Restoring onto the existing pane decodes into its buffer.
+        apply_block(&mut w2, &shared_block).unwrap();
+        let disp = w2.pane(BlockId(8)).unwrap().data("disp").unwrap();
+        assert_eq!(disp.as_f64().unwrap().as_ptr(), buf, "no replacement buffer");
+        assert_eq!(disp, w.pane(BlockId(8)).unwrap().data("disp").unwrap());
     }
 
     #[test]

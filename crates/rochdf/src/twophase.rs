@@ -9,11 +9,16 @@
 //! file domain exactly once (phase one), then redistribute the raw record
 //! bytes over the network to whichever rank asked for them (phase two).
 //!
-//! Phase two reuses the zero-copy wire path end to end: the aggregator
-//! ships each block as a scatter-gather segment list whose payload segments
-//! are windows into the frozen file image ([`SdfFileReader::read_blocks_raw`]),
-//! and the receiver decodes straight out of the arrived [`Bytes`] — the
-//! records are self-describing, so no re-encode happens on either side.
+//! Phase two copies no record byte and checksums each one once. The
+//! aggregator's [`SdfFileReader::read_blocks_raw`] returns windows into
+//! the frozen file image and verifies each record's payload CRC the first
+//! time this file generation's record is read. It ships each block as a
+//! scatter-gather list (a small header plus those windows), which
+//! [`Comm::send_segments`] delivers as message parts by refcount. The
+//! receiver decodes straight from the parts with `verify_crc = false`,
+//! since the fabric is trusted. The records are self-describing, so no
+//! re-encode happens on either side. The one copy of the restore is
+//! `apply_block` writing the payload into the pane's typed buffer.
 //!
 //! Everything is deterministic: wanted-id lists travel through an
 //! `allgather` (collective, virtual-ordered), files are assigned to
@@ -22,13 +27,18 @@
 //! rank count than the snapshot was written with needs no special casing —
 //! the wanted lists describe the new partition and the aggregators route
 //! accordingly.
+//!
+//! Failures do not strand anyone: an aggregator that cannot open or read a
+//! file stops reading, still sends every peer its completion notice with
+//! the error attached, and drains like everyone else. Every rank then
+//! returns a `Corrupt` or `Storage` error naming the file.
 
 use std::collections::{BTreeMap, HashSet};
 
 use bytes::Bytes;
 use rocio_core::{BlockId, DataBlock, Result, RocError, Segment, SimTime};
 use rocnet::Comm;
-use rocsdf::format::{block_prefix, decode_dataset_shared, parse_block_meta};
+use rocsdf::format::{block_prefix, decode_dataset_shared_with, parse_block_meta};
 use rocsdf::{LibraryModel, SdfFileReader};
 use rocstore::SharedFs;
 
@@ -37,15 +47,20 @@ use roccom::{AttrSelector, Windows};
 
 /// Tag of one redistributed block (header + raw record segments).
 pub const TAG_TP_BLOCK: u32 = 0x0070_0001;
-/// Tag of an aggregator's per-receiver completion notice (message count).
+/// Tag of an aggregator's per-receiver completion notice: the number of
+/// blocks it sent that receiver, then its error, if it failed.
 pub const TAG_TP_DONE: u32 = 0x0070_0002;
+
+/// Who wants each block: the phase-zero exchange.
+type WantMap = BTreeMap<BlockId, Vec<usize>>;
 
 /// Collective partitioned read: every rank of `comm` calls this with its
 /// own `wanted` block ids; the first `n_aggregators` ranks read the
 /// snapshot files under `prefix` (round-robin, one contiguous domain read
 /// per file) and redistribute, and every rank returns with exactly the
-/// blocks it asked for, sorted by id. Errors if a wanted block exists in
-/// no file — after the drain, so no rank is left waiting.
+/// blocks it asked for, sorted by id. Errors — a wanted block in no file,
+/// an unreadable or corrupt file, a bad message — are reported after the
+/// drain, so no rank is left waiting and no message is left queued.
 pub fn read_partitioned(
     fs: &SharedFs,
     comm: &Comm,
@@ -65,7 +80,7 @@ pub fn read_partitioned(
         enc.extend_from_slice(&id.0.to_le_bytes());
     }
     let all = comm.allgather(&enc)?;
-    let mut want_of: BTreeMap<BlockId, Vec<usize>> = BTreeMap::new();
+    let mut want_of = WantMap::new();
     for (r, bytes) in all.iter().enumerate() {
         for chunk in bytes.chunks_exact(8) {
             let id = BlockId(u64::from_le_bytes(chunk.try_into().map_err(|_| {
@@ -85,6 +100,7 @@ pub fn read_partitioned(
     }
 
     let mut got: Vec<DataBlock> = Vec::new();
+    let mut failure: Option<RocError> = None;
     let mut received: u64 = 0;
     let mut expected: u64 = 0;
     let mut dones = 0usize;
@@ -92,44 +108,28 @@ pub fn read_partitioned(
 
     if rank < n_agg {
         // Phase one: read owned file domains; phase two: route each block
-        // to its requesters (sends are eager, so no receive interleaving
-        // is needed for progress).
+        // to its requesters. A failure stops this aggregator's reading but
+        // not its notices, which carry the error to every peer.
         fs.declare_readers(n_agg);
         let client = comm.global_rank() as u64;
         let mut sent = vec![0u64; size];
         let mut now = comm.now();
-        for (i, path) in files.iter().enumerate() {
-            if i % n_agg != rank {
-                continue;
-            }
-            let (reader, t_open) = SdfFileReader::open(fs, path, lib, client, now)?;
-            now = t_open;
-            let present: Vec<BlockId> = reader
-                .block_ids()
-                .into_iter()
-                .filter(|id| want_of.contains_key(id))
-                .collect();
-            if present.is_empty() {
-                continue;
-            }
-            let (raw, t) = reader.read_blocks_raw(&present, now)?;
-            now = t;
-            comm.clock().merge(now);
-            for (id, records) in &raw {
-                for &dst in &want_of[id] {
-                    if dst == rank {
-                        got.push(decode_block(*id, records)?);
-                    } else {
-                        comm.send_segments(dst, TAG_TP_BLOCK, &encode_block(*id, records))?;
-                        sent[dst] += 1;
-                    }
+        for path in files.iter().skip(rank).step_by(n_agg) {
+            let step = SdfFileReader::open(fs, path, lib, client, now).and_then(|(reader, t)| {
+                route_file(comm, &reader, &want_of, t, &mut got, &mut sent)
+            });
+            match step {
+                Ok(t) => now = t,
+                Err(e) => {
+                    failure = Some(aggregator_error(rank, path, e));
+                    break;
                 }
             }
         }
         comm.clock().merge(now);
         for (dst, &n) in sent.iter().enumerate() {
             if dst != rank {
-                comm.send(dst, TAG_TP_DONE, &n.to_le_bytes())?;
+                comm.send(dst, TAG_TP_DONE, &encode_done(n, failure.as_ref()))?;
             }
         }
     }
@@ -139,15 +139,21 @@ pub fn read_partitioned(
         let msg = comm.recv(None, None)?;
         match msg.tag {
             TAG_TP_DONE => {
-                let n = u64::from_le_bytes(msg.payload.as_ref().try_into().map_err(|_| {
-                    RocError::Comm("two-phase: malformed done notice".into())
-                })?);
+                let (n, err) = decode_done(&msg.payload)?;
                 dones += 1;
                 expected += n;
+                if let Some(e) = err {
+                    failure.get_or_insert(e);
+                }
             }
             TAG_TP_BLOCK => {
-                got.push(decode_block_msg(&msg.payload)?);
                 received += 1;
+                match decode_block_msg(msg.payload.parts()) {
+                    Ok(block) => got.push(block),
+                    Err(e) => {
+                        failure.get_or_insert(e);
+                    }
+                }
             }
             other => {
                 return Err(RocError::Comm(format!(
@@ -155,6 +161,9 @@ pub fn read_partitioned(
                 )));
             }
         }
+    }
+    if let Some(e) = failure {
+        return Err(e);
     }
 
     let have: HashSet<BlockId> = got.iter().map(|b| b.id).collect();
@@ -168,6 +177,94 @@ pub fn read_partitioned(
     }
     got.sort_by_key(|b| b.id);
     Ok((got, comm.now()))
+}
+
+/// One aggregator file, opened at `now`: read the wanted blocks' records
+/// in one domain read (CRC-verified there) and route each block to its
+/// requesters, keeping this rank's own. Returns the virtual completion
+/// time of the reads; `sent` counts blocks shipped per destination.
+fn route_file(
+    comm: &Comm,
+    reader: &SdfFileReader<'_>,
+    want_of: &WantMap,
+    now: SimTime,
+    got: &mut Vec<DataBlock>,
+    sent: &mut [u64],
+) -> Result<SimTime> {
+    let present: Vec<BlockId> = reader
+        .block_ids()
+        .into_iter()
+        .filter(|id| want_of.contains_key(id))
+        .collect();
+    if present.is_empty() {
+        return Ok(now);
+    }
+    let (raw, now) = reader.read_blocks_raw(&present, now)?;
+    // Sends are eager, so no receive interleaving is needed for progress.
+    comm.clock().merge(now);
+    for (id, records) in &raw {
+        for &dst in &want_of[id] {
+            if dst == comm.rank() {
+                got.push(decode_block(*id, records)?);
+            } else {
+                comm.send_segments(dst, TAG_TP_BLOCK, &encode_block(*id, records))?;
+                sent[dst] += 1;
+            }
+        }
+    }
+    Ok(now)
+}
+
+/// An aggregator failure as every rank reports it: `Corrupt` stays
+/// `Corrupt`, anything else becomes `Storage`, and the message names the
+/// file.
+fn aggregator_error(rank: usize, path: &str, e: RocError) -> RocError {
+    let at = format!("two-phase restart: aggregator {rank} failed on '{path}'");
+    match e {
+        RocError::Corrupt(m) => RocError::Corrupt(format!("{at}: {m}")),
+        other => RocError::Storage(format!("{at}: {other}")),
+    }
+}
+
+/// Completion notice: `[u64 blocks sent]`, then for a failed aggregator
+/// `[u8 kind]` (1 = corrupt, 2 = storage) and the UTF-8 error message.
+fn encode_done(sent: u64, failure: Option<&RocError>) -> Vec<u8> {
+    let mut out = sent.to_le_bytes().to_vec();
+    match failure {
+        None => {}
+        Some(RocError::Corrupt(m)) => {
+            out.push(1);
+            out.extend_from_slice(m.as_bytes());
+        }
+        Some(other) => {
+            out.push(2);
+            let m = match other {
+                RocError::Storage(m) => m.clone(),
+                e => e.to_string(),
+            };
+            out.extend_from_slice(m.as_bytes());
+        }
+    }
+    out
+}
+
+fn decode_done(payload: &[u8]) -> Result<(u64, Option<RocError>)> {
+    let malformed = || RocError::Comm("two-phase: malformed done notice".into());
+    let n = u64::from_le_bytes(
+        payload.get(..8).ok_or_else(malformed)?.try_into().map_err(|_| malformed())?,
+    );
+    let err = match payload.get(8..) {
+        None | Some([]) => None,
+        Some([kind, text @ ..]) => {
+            let m = String::from_utf8_lossy(text).into_owned();
+            Some(match kind {
+                1 => RocError::Corrupt(m),
+                2 => RocError::Storage(m),
+                _ => return Err(malformed()),
+            })
+        }
+    };
+    Ok((n, err))
 }
 
 /// Two-phase variant of the restart read: collective over `comm`, applying
@@ -213,47 +310,90 @@ fn encode_block(id: BlockId, records: &[Bytes]) -> Vec<Segment> {
     segs
 }
 
-fn decode_block_msg(payload: &Bytes) -> Result<DataBlock> {
-    let short = || RocError::Comm("two-phase: truncated block message".into());
-    let take = |pos: &mut usize, n: usize| -> Result<Bytes> {
-        if *pos + n > payload.len() {
-            return Err(short());
+/// A cursor over a message's parts read as one byte stream. A take that
+/// lies within one part is a zero-copy window (the normal case: the
+/// header is one part and each record another); one that straddles parts
+/// is copied, so any split of the same bytes decodes identically.
+struct PartsCursor<'a> {
+    parts: &'a [Bytes],
+    part: usize,
+    pos: usize,
+    left: usize,
+}
+
+impl<'a> PartsCursor<'a> {
+    fn new(parts: &'a [Bytes]) -> Self {
+        let left = parts.iter().map(Bytes::len).sum();
+        PartsCursor { parts, part: 0, pos: 0, left }
+    }
+
+    fn take(&mut self, n: usize) -> Result<Bytes> {
+        if n > self.left {
+            return Err(truncated());
         }
-        let b = payload.slice(*pos..*pos + n);
-        *pos += n;
-        Ok(b)
-    };
-    let mut pos = 0usize;
-    let id = BlockId(u64::from_le_bytes(
-        take(&mut pos, 8)?.as_ref().try_into().map_err(|_| short())?,
-    ));
-    let n = u32::from_le_bytes(
-        take(&mut pos, 4)?.as_ref().try_into().map_err(|_| short())?,
-    ) as usize;
+        self.left -= n;
+        while self.parts.get(self.part).is_some_and(|p| self.pos == p.len()) {
+            self.part += 1;
+            self.pos = 0;
+        }
+        if let Some(cur) = self.parts.get(self.part).filter(|p| self.pos + n <= p.len()) {
+            self.pos += n;
+            return Ok(cur.slice(self.pos - n..self.pos));
+        }
+        // Straddles parts; `left` guarantees the parts hold `n` more bytes.
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let cur = &self.parts[self.part];
+            let k = (n - out.len()).min(cur.len() - self.pos);
+            out.extend_from_slice(&cur[self.pos..self.pos + k]);
+            self.pos += k;
+            if self.pos == cur.len() {
+                self.part += 1;
+                self.pos = 0;
+            }
+        }
+        Ok(Bytes::from(out))
+    }
+
+    fn take_le<const N: usize>(&mut self) -> Result<[u8; N]> {
+        self.take(N)?.as_ref().try_into().map_err(|_| truncated())
+    }
+}
+
+fn truncated() -> RocError {
+    RocError::Comm("two-phase: truncated block message".into())
+}
+
+fn decode_block_msg(parts: &[Bytes]) -> Result<DataBlock> {
+    let mut cur = PartsCursor::new(parts);
+    let id = BlockId(u64::from_le_bytes(cur.take_le()?));
+    let n = u32::from_le_bytes(cur.take_le()?) as usize;
+    if n.saturating_mul(8) > cur.left {
+        return Err(truncated());
+    }
     let mut lens = Vec::with_capacity(n);
     for _ in 0..n {
-        lens.push(u64::from_le_bytes(
-            take(&mut pos, 8)?.as_ref().try_into().map_err(|_| short())?,
-        ) as usize);
+        lens.push(u64::from_le_bytes(cur.take_le()?) as usize);
     }
     let mut records = Vec::with_capacity(n);
     for len in lens {
-        records.push(take(&mut pos, len)?);
+        records.push(cur.take(len)?);
     }
-    if pos != payload.len() {
+    if cur.left != 0 {
         return Err(RocError::Comm("two-phase: trailing bytes in block message".into()));
     }
     decode_block(id, &records)
 }
 
-/// Decode a block from its raw record images (meta first), verifying each
-/// record's payload CRC — the receiver is the integrity boundary on this
-/// path.
+/// Decode a block from its raw record images (meta first). The payload
+/// CRCs are not recomputed: [`SdfFileReader::read_blocks_raw`] verified
+/// these exact bytes in the current file generation before they left the
+/// aggregator.
 fn decode_block(id: BlockId, records: &[Bytes]) -> Result<DataBlock> {
     let meta = records
         .first()
         .ok_or_else(|| RocError::Corrupt(format!("two-phase: block {id} with no records")))?;
-    let meta = decode_dataset_shared(meta, &mut 0)?;
+    let meta = decode_dataset_shared_with(meta, &mut 0, false)?;
     let (got_id, window, attrs) = parse_block_meta(&meta)?;
     if got_id != id {
         return Err(RocError::Corrupt(format!(
@@ -264,7 +404,7 @@ fn decode_block(id: BlockId, records: &[Bytes]) -> Result<DataBlock> {
     let mut block = DataBlock::new(id, window);
     block.attrs = attrs;
     for rec in &records[1..] {
-        let mut ds = decode_dataset_shared(rec, &mut 0)?;
+        let mut ds = decode_dataset_shared_with(rec, &mut 0, false)?;
         ds.name = ds
             .name
             .strip_prefix(&prefix)
@@ -407,17 +547,52 @@ mod tests {
         w.finish(t).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
-        let segs = encode_block(BlockId(7), &raw[0].1);
+        let records = &raw[0].1;
+        let segs = encode_block(BlockId(7), records);
+        // On the wire: the header is one part, each record its own part
+        // sharing the file image's buffer.
+        let payload = rocnet::Payload::from_segments(&segs);
+        let parts = payload.parts().to_vec();
+        assert_eq!(parts.len(), 1 + records.len());
+        assert_eq!(parts[1].as_ptr(), records[0].as_ptr());
+        assert_eq!(decode_block_msg(&parts).unwrap(), block);
+        // Any other split of the same bytes decodes identically.
         let image = Bytes::from(rocio_core::segments_to_vec(&segs));
-        let back = decode_block_msg(&image).unwrap();
-        assert_eq!(back, block);
-        // Truncations and trailing garbage are rejected, never panic.
-        for cut in [0, 4, 11, image.len() - 1] {
-            assert!(decode_block_msg(&image.slice(..cut)).is_err(), "cut at {cut}");
+        assert_eq!(decode_block_msg(std::slice::from_ref(&image)).unwrap(), block);
+        let chunks: Vec<Bytes> = (0..image.len())
+            .step_by(5)
+            .map(|at| image.slice(at..(at + 5).min(image.len())))
+            .collect();
+        assert_eq!(decode_block_msg(&chunks).unwrap(), block);
+        // Truncated headers are rejected, never panic.
+        let header = &parts[0];
+        for cut in [0, 4, 11, 12, header.len() - 1] {
+            let mut cut_parts = vec![header.slice(..cut)];
+            if cut >= 12 {
+                cut_parts.extend(parts[1..].iter().cloned());
+            }
+            assert!(decode_block_msg(&cut_parts).is_err(), "header cut at {cut}");
         }
-        let mut extra = image.to_vec();
-        extra.push(0);
-        assert!(decode_block_msg(&Bytes::from(extra)).is_err());
+        assert!(decode_block_msg(&[]).is_err());
+        // Length fields that disagree with the parts are rejected: a
+        // record claimed one byte longer or shorter, a missing record
+        // part, a trailing extra part, and a huge record count.
+        for delta in [1i64, -1] {
+            let mut h = header.to_vec();
+            let at = 12;
+            let len = u64::from_le_bytes(h[at..at + 8].try_into().unwrap());
+            h[at..at + 8].copy_from_slice(&((len as i64 + delta) as u64).to_le_bytes());
+            let mut bad = vec![Bytes::from(h)];
+            bad.extend(parts[1..].iter().cloned());
+            assert!(decode_block_msg(&bad).is_err(), "length off by {delta}");
+        }
+        assert!(decode_block_msg(&parts[..parts.len() - 1]).is_err(), "missing record");
+        let mut extra = parts.clone();
+        extra.push(Bytes::from(vec![0u8]));
+        assert!(decode_block_msg(&extra).is_err(), "trailing part");
+        let mut huge = header.to_vec();
+        huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_block_msg(&[Bytes::from(huge)]).is_err(), "record count");
     }
 
     #[test]

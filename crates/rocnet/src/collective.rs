@@ -78,7 +78,7 @@ impl Comm {
             }
             Ok(shared)
         } else {
-            Ok(self.recv(Some(root), Some(tag))?.payload)
+            Ok(self.recv(Some(root), Some(tag))?.payload.bytes())
         }
     }
 
@@ -91,7 +91,7 @@ impl Comm {
             out[root] = Bytes::copy_from_slice(data);
             for (src, slot) in out.iter_mut().enumerate() {
                 if src != root {
-                    *slot = self.recv(Some(src), Some(tag))?.payload;
+                    *slot = self.recv(Some(src), Some(tag))?.payload.bytes();
                 }
             }
             Ok(Some(out))
@@ -109,7 +109,7 @@ impl Comm {
             let mut out: Vec<Bytes> = vec![Bytes::new(); self.size()];
             out[0] = Bytes::copy_from_slice(data);
             for (src, slot) in out.iter_mut().enumerate().skip(1) {
-                *slot = self.recv(Some(src), Some(up))?.payload;
+                *slot = self.recv(Some(src), Some(up))?.payload.bytes();
             }
             // Flatten with length prefixes, then fan out one shared image.
             let mut flat = Vec::new();
@@ -124,7 +124,7 @@ impl Comm {
             Ok(out)
         } else {
             self.send(0, up, data)?;
-            let flat = self.recv(Some(0), Some(down))?.payload;
+            let flat = self.recv(Some(0), Some(down))?.payload.bytes();
             let mut out = Vec::with_capacity(self.size());
             let mut pos = 0;
             while pos < flat.len() {
@@ -172,7 +172,7 @@ impl Comm {
             }
             Ok(Bytes::copy_from_slice(&parts[root]))
         } else {
-            Ok(self.recv(Some(root), Some(tag))?.payload)
+            Ok(self.recv(Some(root), Some(tag))?.payload.bytes())
         }
     }
 
@@ -197,7 +197,7 @@ impl Comm {
         out[self.rank()] = Bytes::copy_from_slice(&parts[self.rank()]);
         for (src, slot) in out.iter_mut().enumerate() {
             if src != self.rank() {
-                *slot = self.recv(Some(src), Some(tag))?.payload;
+                *slot = self.recv(Some(src), Some(tag))?.payload.bytes();
             }
         }
         Ok(out)

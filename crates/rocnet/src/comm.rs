@@ -12,10 +12,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rocio_core::{segments_to_vec, Result, RocError, Segment, SimTime};
+use rocio_core::{Result, RocError, Segment, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::fabric::{Envelope, Fabric};
+use crate::payload::Payload;
 use crate::stats::{CommStats, StatsSnapshot};
 use crate::trace::{EventKind, TraceEvent};
 use crate::vtime::VClock;
@@ -33,9 +34,10 @@ pub struct Message {
     pub src: usize,
     /// Message tag.
     pub tag: u32,
-    /// Payload bytes, shared with the sender's buffer by refcount — the
-    /// receive path never copies the data (derefs to `&[u8]`).
-    pub payload: Bytes,
+    /// Payload parts, shared with the sender's buffers by refcount — the
+    /// receive path never copies the data. Derefs to `&[u8]`, assembling
+    /// a multi-part payload once on first access (see [`Payload`]).
+    pub payload: Payload,
     /// Virtual send-completion time at the sender.
     pub sent: SimTime,
     /// Virtual arrival time at this rank.
@@ -205,17 +207,24 @@ impl Comm {
         self.send_bytes(dst, tag, Bytes::copy_from_slice(payload))
     }
 
-    /// Send a scatter-gather `segments` list as one message, assembling
-    /// the wire image exactly once (shared payload segments are copied
-    /// only here, never re-staged upstream).
+    /// Send a scatter-gather `segments` list as one message without
+    /// assembling it: `Shared` segments travel as parts by refcount and
+    /// each run of adjacent `Owned` segments is copied into one part
+    /// ([`Payload::from_segments`]). Modelled cost, stats and trace are
+    /// those of a [`Comm::send`] of the concatenated bytes.
     pub fn send_segments(&self, dst: usize, tag: u32, segments: &[Segment]) -> Result<()> {
-        self.send_bytes(dst, tag, Bytes::from(segments_to_vec(segments)))
+        self.send_payload(dst, tag, Payload::from_segments(segments))
     }
 
     /// Send an already-shared payload without copying: the receiver's
     /// [`Message::payload`] is a refcounted view of this very buffer.
     /// Modelled cost is identical to [`Comm::send`].
     pub fn send_bytes(&self, dst: usize, tag: u32, payload: Bytes) -> Result<()> {
+        self.send_payload(dst, tag, Payload::from(payload))
+    }
+
+    /// Every send ends here: the charge depends only on the total length.
+    fn send_payload(&self, dst: usize, tag: u32, payload: Payload) -> Result<()> {
         if dst >= self.size() {
             return Err(RocError::Comm(format!(
                 "send: rank {dst} out of range (size {})",
@@ -543,7 +552,7 @@ mod tests {
                 comm.send(1, 42, b"hello").unwrap();
                 Bytes::new()
             } else {
-                comm.recv(Some(0), Some(42)).unwrap().payload
+                comm.recv(Some(0), Some(42)).unwrap().payload.bytes()
             }
         });
         assert_eq!(out[1], b"hello");
@@ -572,7 +581,7 @@ mod tests {
                 comm.send(1, 9, b"user").unwrap();
                 Bytes::new()
             } else {
-                comm.recv(None, None).unwrap().payload
+                comm.recv(None, None).unwrap().payload.bytes()
             }
         });
         assert_eq!(out[1], b"user");
@@ -660,7 +669,7 @@ mod tests {
                 // message, not the sub-communicator one.
                 let m = comm.recv(Some(0), Some(5)).unwrap();
                 let s = sub.recv(Some(0), Some(5)).unwrap();
-                vec![m.payload, s.payload]
+                vec![m.payload.bytes(), s.payload.bytes()]
             }
         });
         assert_eq!(out[1][0], b"world");
@@ -691,7 +700,7 @@ mod tests {
                 // Same (src, tag) on both communicators: each gets its own.
                 let d = dup.recv(Some(0), Some(4)).unwrap();
                 let o = comm.recv(Some(0), Some(4)).unwrap();
-                vec![o.payload, d.payload]
+                vec![o.payload.bytes(), d.payload.bytes()]
             }
         });
         assert_eq!(out[1][0], b"orig");
@@ -732,32 +741,81 @@ mod tests {
                 ptr
             } else {
                 let m = comm.recv(Some(0), Some(1)).unwrap();
-                assert_eq!(m.payload, vec![7u8; 32]);
-                m.payload.as_slice().as_ptr() as usize
+                assert_eq!(m.payload.bytes(), vec![7u8; 32]);
+                m.payload.bytes().as_ptr() as usize
             }
         });
         assert_eq!(out[0], out[1], "receiver must see the sender's allocation");
     }
 
     #[test]
-    fn send_segments_assembles_once_in_order() {
+    fn send_segments_ships_parts_in_order() {
         let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
             if comm.rank() == 0 {
                 let segs = [
-                    Segment::Owned(b"head".to_vec()),
+                    Segment::Owned(b"he".to_vec()),
+                    Segment::Owned(b"ad".to_vec()),
                     Segment::Shared(Bytes::from(vec![9u8; 8])),
                     Segment::Owned(b"tail".to_vec()),
                 ];
                 comm.send_segments(1, 2, &segs).unwrap();
-                Bytes::new()
+                (0, Bytes::new())
             } else {
-                comm.recv(Some(0), Some(2)).unwrap().payload
+                let p = comm.recv(Some(0), Some(2)).unwrap().payload;
+                (p.parts().len(), p.bytes())
             }
         });
         let mut expect = b"head".to_vec();
         expect.extend_from_slice(&[9u8; 8]);
         expect.extend_from_slice(b"tail");
-        assert_eq!(out[1], expect);
+        assert_eq!(out[1].0, 3, "owned runs coalesce; the shared segment is its own part");
+        assert_eq!(out[1].1, expect);
+    }
+
+    #[test]
+    fn multi_part_send_charges_exactly_like_the_assembled_send() {
+        // Same bytes, once as a multi-part scatter-gather send and once
+        // assembled: every clock, counter, probe length and trace event
+        // must agree, since the fabric charges on the total length only.
+        let segs = vec![
+            Segment::Owned(vec![1u8; 40]),
+            Segment::Shared(Bytes::from(vec![2u8; 70_000])),
+            Segment::Owned(vec![3u8; 12]),
+            Segment::Shared(Bytes::from(vec![4u8; 5_000])),
+        ];
+        let run = |multi: bool| {
+            let segs = segs.clone();
+            run_ranks(2, ClusterSpec::turing(2), move |comm| {
+                comm.enable_tracing();
+                let mut parts = 0;
+                let mut probed = 0;
+                if comm.rank() == 0 {
+                    comm.compute(0.25);
+                    if multi {
+                        comm.send_segments(1, 5, &segs).unwrap();
+                    } else {
+                        comm.send(1, 5, &rocio_core::segments_to_vec(&segs)).unwrap();
+                    }
+                } else {
+                    probed = comm.probe(None, Some(5)).bytes;
+                    let m = comm.recv(None, Some(5)).unwrap();
+                    parts = m.payload.parts().len();
+                    assert_eq!(&m.payload[..], rocio_core::segments_to_vec(&segs).as_slice());
+                }
+                (parts, probed, comm.now().to_bits(), comm.stats(), comm.take_trace())
+            })
+        };
+        let (multi, flat) = (run(true), run(false));
+        assert_eq!(multi[1].0, 4);
+        assert_eq!(flat[1].0, 1);
+        for r in 0..2 {
+            let (m, f) = (&multi[r], &flat[r]);
+            assert_eq!(m.1, f.1, "rank {r}: probe length");
+            assert_eq!(m.2, f.2, "rank {r}: virtual time");
+            assert_eq!(m.3, f.3, "rank {r}: comm stats");
+            assert_eq!(m.4, f.4, "rank {r}: trace events");
+        }
+        assert_eq!(multi[1].1, 75_052);
     }
 
     #[test]
@@ -789,7 +847,7 @@ mod tests {
                     .recv_deadline(Some(0), Some(1), 10.0)
                     .expect("message arrives well before the deadline");
                 assert!(comm.now() < 10.0, "no idle charge on a hit");
-                m.payload
+                m.payload.bytes()
             }
         });
         assert_eq!(out[1], b"early");
@@ -814,7 +872,7 @@ mod tests {
     fn self_send_works() {
         let out = run_ranks(1, ClusterSpec::ideal(1), |comm| {
             comm.send(0, 2, b"me").unwrap();
-            comm.recv(Some(0), Some(2)).unwrap().payload
+            comm.recv(Some(0), Some(2)).unwrap().payload.bytes()
         });
         assert_eq!(out[0], b"me");
     }

@@ -34,12 +34,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use bytes::Bytes;
 use rocio_core::lockdep::{Condvar, Mutex, MutexGuard};
 use rocio_core::SimTime;
 
 use crate::cluster::ClusterSpec;
 use crate::model::FaultAction;
+use crate::payload::Payload;
 use crate::sched::GateBoard;
 use crate::vtime::VClock;
 
@@ -170,9 +170,9 @@ pub struct Envelope {
     pub src_global: usize,
     /// Message tag.
     pub tag: u32,
-    /// Payload bytes, shared by refcount: cloning an envelope (or handing
+    /// Payload parts, shared by refcount: cloning an envelope (or handing
     /// its payload to a receiver) never copies the data.
-    pub payload: Bytes,
+    pub payload: Payload,
     /// Virtual time at which the sender finished injecting the message.
     pub sent: SimTime,
     /// Virtual time at which the message is available at the receiver.
@@ -1244,7 +1244,7 @@ mod tests {
             ctx: 0,
             src_global: src,
             tag,
-            payload: Bytes::from(&[1u8, 2, 3][..]),
+            payload: Payload::from(bytes::Bytes::from(&[1u8, 2, 3][..])),
             sent: 0.0,
             arrival,
         }
@@ -1495,6 +1495,30 @@ mod tests {
         f.deliver(1, env(0, 5, 0.1));
         assert_eq!(f.queued(1), 2);
         assert_eq!(f.fault_stats().duplicated, 1);
+    }
+
+    #[test]
+    fn duplicate_of_a_multi_part_envelope_delivers_identical_parts() {
+        let f = Fabric::new(ClusterSpec::ideal(2));
+        f.set_fault_injector(Arc::new(Script(vec![(
+            (0, 1, 0),
+            FaultAction::Duplicate,
+        )])));
+        let shared = bytes::Bytes::from(vec![7u8; 64]);
+        let payload = Payload::from_segments(&[
+            rocio_core::Segment::Owned(b"head".to_vec()),
+            rocio_core::Segment::Shared(shared.clone()),
+        ]);
+        f.deliver(1, Envelope { payload, ..env(0, 5, 0.1) });
+        let a = f.take_matching(1, |e| e.tag == 5);
+        let b = f.take_matching(1, |e| e.tag == 5);
+        assert_eq!(a.payload.parts().len(), 2);
+        for (pa, pb) in a.payload.parts().iter().zip(b.payload.parts()) {
+            assert_eq!(pa, pb);
+            assert_eq!(pa.as_ptr(), pb.as_ptr(), "the duplicate shares the original's buffers");
+        }
+        assert_eq!(b.payload.parts()[1].as_ptr(), shared.as_ptr());
+        assert_eq!((a.payload.len(), a.arrival), (b.payload.len(), b.arrival));
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod comm;
 pub mod fabric;
 pub mod harness;
 pub mod model;
+pub mod payload;
 pub mod request;
 pub mod rocrel;
 pub mod sched;
@@ -68,6 +69,7 @@ pub mod trace;
 pub mod tree;
 pub mod vtime;
 
+pub use bytes::Bytes;
 pub use cluster::{ClusterSpec, NodeUsage};
 pub use comm::{Comm, Message};
 pub use fabric::{Fabric, FaultInjector, FaultStats};
@@ -75,6 +77,7 @@ pub use harness::{
     run_on_fabric, run_on_fabric_threaded, run_ranks, run_ranks_threaded,
 };
 pub use model::{FaultAction, FaultSpec, NetworkModel};
+pub use payload::Payload;
 pub use sched::{run_on_fabric_sched, run_ranks_sched, SchedConfig};
 pub use request::{RecvRequest, SendRequest};
 pub use rocrel::{RelConfig, RelOnly, ReliableComm, TAG_REL};

@@ -135,8 +135,8 @@ mod tests {
                 // wait() parks on the fabric — and lends the caller's
                 // scheduler slot — until the message lands.
                 match comm.test(&mut req) {
-                    Some(m) => m.payload,
-                    None => comm.wait(req).unwrap().payload,
+                    Some(m) => m.payload.bytes(),
+                    None => comm.wait(req).unwrap().payload.bytes(),
                 }
             }
         });

@@ -340,7 +340,7 @@ impl<'a> ReliableComm<'a> {
                 let app = Message {
                     src,
                     tag: app_tag,
-                    payload: m.payload.slice(DATA_HDR..),
+                    payload: m.payload.bytes().slice(DATA_HDR..).into(),
                     sent: m.sent,
                     arrival: m.arrival,
                 };
@@ -578,7 +578,7 @@ mod tests {
             } else {
                 let m = rel.recv(Some(0), Some(7)).unwrap();
                 assert_eq!(m.tag, 7);
-                m.payload
+                m.payload.bytes()
             }
         });
         assert_eq!(out[1], b"payload");
@@ -599,14 +599,14 @@ mod tests {
                 }
                 // The peer's reply proves it got everything.
                 let done = rel.recv(Some(1), Some(8)).unwrap();
-                assert_eq!(done.payload.as_slice(), b"ok");
+                assert_eq!(&done.payload[..], b"ok");
                 rel.linger(1.0);
                 Vec::new()
             } else {
                 let seen: Vec<u64> = (0..n_msgs)
                     .map(|_| {
                         let m = rel.recv(Some(0), Some(7)).unwrap();
-                        u64::from_le_bytes(m.payload.as_slice().try_into().unwrap())
+                        u64::from_le_bytes(m.payload[..].try_into().unwrap())
                     })
                     .collect();
                 rel.send(0, 8, b"ok").unwrap();

@@ -123,7 +123,7 @@ impl Comm {
         while step >= 1 {
             if !received && rank % (2 * step) == step {
                 let m = self.recv(Some(rank - step), Some(tag))?;
-                data = m.payload;
+                data = m.payload.bytes();
                 received = true;
             }
             if received && rank.is_multiple_of(2 * step) {

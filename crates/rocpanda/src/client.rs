@@ -102,9 +102,6 @@ impl IoService for PandaClient<'_> {
         let t_enter = self.world.now();
         let window = windows.window(&sel.window)?;
         let blocks = roccom::convert::window_to_blocks(window, &sel.attr)?;
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!("[client g{}] write_attribute {} snap={snap} blocks={}", self.world.global_rank(), sel.window, blocks.len());
-        }
         // Announce (collective: even a pane-less client announces, so the
         // server knows when a file is complete).
         let req = WriteReq {
@@ -121,8 +118,9 @@ impl IoService for PandaClient<'_> {
                 window: sel.window.clone(),
                 block,
             };
-            // Scatter-gather encode into pooled staging buffers; the wire
-            // image is assembled exactly once, inside send_segments.
+            // Scatter-gather encode into pooled staging buffers; each run
+            // of them is copied exactly once, into a message part inside
+            // send_segments, so the buffers go straight back to the pool.
             self.segs.clear();
             msg.encode_segments(&mut self.pool, &mut self.segs);
             // Client-side packing cost (same total bytes as before).
@@ -142,15 +140,6 @@ impl IoService for PandaClient<'_> {
             in_flight -= 1;
         }
         self.net.recv(Some(self.my_server), Some(tag::DONE))?;
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!(
-                "[client g{}] write {} snap={snap} took {:.4}s (t_enter={:.3})",
-                self.world.global_rank(),
-                sel.window,
-                self.world.now() - t_enter,
-                t_enter
-            );
-        }
         self.visible_io += self.world.now() - t_enter;
         Ok(())
     }
@@ -167,9 +156,6 @@ impl IoService for PandaClient<'_> {
             .iter()
             .map(|b| b.0)
             .collect();
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!("[client g{}] read_attribute {} snap={snap} ids={}", self.world.global_rank(), sel.window, wanted.len());
-        }
         let req = ReadReq {
             snap,
             window: sel.window.clone(),
@@ -193,7 +179,7 @@ impl IoService for PandaClient<'_> {
                 tag::READ_BLOCK => {
                     // Zero-copy decode: payloads stay windows into the
                     // message until apply_block installs them typed.
-                    let bm = BlockMsg::decode_shared(&msg.payload)?;
+                    let bm = BlockMsg::decode_shared(&msg.payload.bytes())?;
                     if !seen.insert(bm.block.id.0) {
                         return Err(RocError::Corrupt(format!(
                             "restart: block {} delivered twice",
@@ -205,7 +191,7 @@ impl IoService for PandaClient<'_> {
                 }
                 tag::READ_BATCH => {
                     // A server's whole cache-served share in one message.
-                    for bm in wire::decode_read_batch_shared(&msg.payload)? {
+                    for bm in wire::decode_read_batch_shared(&msg.payload.bytes())? {
                         if !seen.insert(bm.block.id.0) {
                             return Err(RocError::Corrupt(format!(
                                 "restart: block {} delivered twice",

@@ -192,7 +192,8 @@ impl BlockMsg {
     /// Scatter-gather encode: headers go into pooled staging buffers,
     /// shared payloads ride along by refcount. Concatenated, the segments
     /// are byte-identical to [`BlockMsg::encode`]; send them with
-    /// `Comm::send_segments` so the wire image is assembled exactly once.
+    /// `Comm::send_segments`, which copies each run of owned segments
+    /// once and ships shared payloads by refcount.
     pub fn encode_segments(&self, pool: &mut SegmentPool, out: &mut Vec<Segment>) {
         let mut head = pool.take();
         head.clear();

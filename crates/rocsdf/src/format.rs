@@ -37,7 +37,12 @@ pub const BLOCK_META: &str = "__meta__";
 
 /// Reserved attribute carrying the CRC-32 of a dataset's payload.
 /// Written by [`crate::writer::SdfFileWriter`], verified and stripped by
-/// [`decode_dataset`]; absent on wire messages (the fabric is trusted).
+/// [`decode_dataset`]. The fabric is trusted, so the checksum is checked
+/// where bytes leave storage, never again on the wire: Rocpanda messages
+/// do not carry it, and the raw file records the two-phase restart ships
+/// do carry it but are verified by the aggregating reader, once per
+/// record per file generation ([`crate::SdfFileReader::read_blocks_raw`]),
+/// so their receivers decode with `verify_crc = false`.
 pub const CRC_ATTR: &str = "__crc32__";
 
 /// Slice-by-8 lookup tables for [`crc32`], generated at compile time
@@ -342,6 +347,13 @@ pub fn decode_dataset_shared_with(
     )?;
     ds.attrs = rec.attrs;
     Ok(ds)
+}
+
+/// Check one whole record image: its structure, and its payload against
+/// the stored checksum when it carries one. This is the verification
+/// [`decode_dataset`] performs, without building the dataset.
+pub fn verify_record(bytes: &[u8]) -> Result<()> {
+    decode_record(bytes, &mut 0, true).map(drop)
 }
 
 fn decode_record(bytes: &[u8], pos: &mut usize, verify_crc: bool) -> Result<RawRecord> {

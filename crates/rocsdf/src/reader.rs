@@ -10,8 +10,8 @@ use rocstore::SharedFs;
 use crate::cost::{LibraryModel, ReadCostModel, ReadStrategy};
 use crate::format::{
     check_header, decode_dataset, decode_dataset_shared_with, decode_index, decode_trailer,
-    parse_block_id, parse_block_meta, DatasetHeader, IndexEntry, BLOCK_META, HEADER_LEN,
-    TRAILER_LEN,
+    parse_block_id, parse_block_meta, verify_record, DatasetHeader, IndexEntry, BLOCK_META,
+    HEADER_LEN, TRAILER_LEN,
 };
 
 /// The parsed trailer + index of one open, cached in the file system's
@@ -140,21 +140,27 @@ impl<'fs> SdfFileReader<'fs> {
         Ok(&self.meta.index[self.entry_idx(name)?])
     }
 
+    /// Run `f` on record `i`, asking it to verify the payload CRC only
+    /// the first time this generation's record is touched; the flag is set
+    /// after `f` succeeds, so a corrupt record keeps failing.
+    fn verified_once<T>(&self, i: usize, f: impl FnOnce(bool) -> Result<T>) -> Result<T> {
+        let skip = self.meta.verified[i].load(Ordering::Relaxed);
+        let out = f(!skip)?;
+        if !skip {
+            self.meta.verified[i].store(true, Ordering::Relaxed);
+        }
+        Ok(out)
+    }
+
     /// Decode record `i`'s shared window, paying the payload-CRC pass only
-    /// the first time this generation's record is decoded; the flag is set
-    /// after a successful decode, so a corrupt record keeps failing.
+    /// once per file generation (see [`Self::verified_once`]).
     fn decode_shared_verified_once(
         &self,
         i: usize,
         bytes: &bytes::Bytes,
         pos: &mut usize,
     ) -> Result<Dataset> {
-        let skip = self.meta.verified[i].load(Ordering::Relaxed);
-        let ds = decode_dataset_shared_with(bytes, pos, !skip)?;
-        if !skip {
-            self.meta.verified[i].store(true, Ordering::Relaxed);
-        }
-        Ok(ds)
+        self.verified_once(i, |verify| decode_dataset_shared_with(bytes, pos, verify))
     }
 
     /// Read one dataset by name. Returns the dataset and completion time.
@@ -594,8 +600,14 @@ impl<'fs> SdfFileReader<'fs> {
     /// through, holes included, with a single lookup charged per covering
     /// read — positioned raw I/O, not per-record library access). Each
     /// block comes back as its records' zero-copy windows, `__meta__`
-    /// first — self-describing bytes ready to ship over the wire; the
-    /// receiver decodes and CRC-checks them itself.
+    /// first — self-describing bytes ready to ship over the wire.
+    ///
+    /// This is the integrity boundary of the two-phase path: every
+    /// returned record's payload CRC has been checked against the bytes
+    /// currently frozen in the store — here, the first time this file
+    /// generation's record is read, or earlier by any shared read through
+    /// the same cached open (the verified-once flags). Receivers therefore
+    /// decode with `verify_crc = false`, like every other wire path.
     #[allow(clippy::type_complexity)]
     pub fn read_blocks_raw(
         &self,
@@ -641,7 +653,11 @@ impl<'fs> SdfFileReader<'fs> {
         let mut out = Vec::with_capacity(ids.len());
         let mut w = 0usize;
         for (id, picks) in &per_block {
-            out.push((*id, windows[w..w + picks.len()].to_vec()));
+            let records = &windows[w..w + picks.len()];
+            for (&i, rec) in picks.iter().zip(records) {
+                self.verified_once(i, |verify| if verify { verify_record(rec) } else { Ok(()) })?;
+            }
+            out.push((*id, records.to_vec()));
             w += picks.len();
         }
         Ok((out, t))
@@ -959,6 +975,9 @@ mod tests {
         let (r, t1) = SdfFileReader::open(&fs, "bad.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
         assert!(r.read_block_shared(BlockId(1), t1).is_err());
         assert!(r.read_block_shared(BlockId(1), t1).is_err(), "failure must be sticky");
+        // The raw two-phase read is an integrity boundary too.
+        assert!(r.read_blocks_raw(&[BlockId(1)], t1).is_err());
+        assert!(r.read_blocks_raw(&[BlockId(1)], t1).is_err(), "raw failure is sticky");
 
         // Good image read warm (records now marked verified), then the
         // path is rewritten with the corrupt image: the new generation
@@ -972,6 +991,7 @@ mod tests {
         fs.create("snap.sdf", 0, 10.0);
         fs.append("snap.sdf", &bad, 0, 10.0).unwrap();
         let (r, t3) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 10.0).unwrap();
+        assert!(r.read_blocks_raw(&[BlockId(1)], t3).is_err());
         assert!(r.read_block_shared(BlockId(1), t3).is_err());
     }
 

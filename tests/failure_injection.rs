@@ -294,3 +294,153 @@ fn disk_full_surfaces_as_storage_error() {
         other => panic!("expected Storage(disk full), got {other:?}"),
     }
 }
+
+// --- two-phase collective restart ------------------------------------------
+
+/// Run `f` on a helper thread and fail if it has not returned within
+/// `secs`: a collective that strands a rank must fail the test, not wedge
+/// the suite.
+fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    let worker = std::thread::spawn(move || tx.send(f()).is_ok());
+    match rx.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Ok(v) => {
+            worker.join().expect("worker exits after sending");
+            v
+        }
+        // A hung worker cannot be joined; failing the test is the point.
+        Err(RecvTimeoutError::Timeout) => panic!("two-phase restart hung for {secs} s"),
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("the worker either sends or panics"),
+        },
+    }
+}
+
+/// The marker value every element of block `id` holds.
+fn tp_marker(id: u64) -> f64 {
+    1000.25 + id as f64
+}
+
+/// Four writer files of two blocks each (ids 0..8), written directly.
+fn write_tp_snapshot(fs: &SharedFs) -> (String, Vec<String>) {
+    use genx_repro::core::{DataBlock, Dataset};
+    use genx_repro::rocsdf::SdfFileWriter;
+    let cfg = RochdfConfig::default();
+    let snap = SnapshotId::new(0, 0);
+    for w in 0..4u64 {
+        let path = cfg.path("fluid", snap, w as usize);
+        let (mut fw, mut t) = SdfFileWriter::create(fs, &path, cfg.lib, w, 0.0).unwrap();
+        for b in 0..2 {
+            let id = w * 2 + b;
+            let block = DataBlock::new(BlockId(id), "fluid")
+                .with_dataset(Dataset::vector("p", vec![tp_marker(id); 16]));
+            t = fw.append_block(&block, t).unwrap();
+        }
+        fw.finish(t).unwrap();
+    }
+    let prefix = cfg.prefix("fluid", snap);
+    let files = fs.list(&prefix);
+    assert_eq!(files.len(), 4);
+    (prefix, files)
+}
+
+/// One two-phase restore of the 8 blocks onto 3 ranks (round-robin by id)
+/// with 2 aggregators, under a watchdog. Per rank: the restored block ids
+/// and marker checks, or the error.
+fn tp_restore(
+    fs: &Arc<SharedFs>,
+    prefix: &str,
+) -> Vec<Result<Vec<u64>, genx_repro::core::RocError>> {
+    let (fs, prefix) = (Arc::clone(fs), prefix.to_string());
+    with_watchdog(60, move || {
+        run_ranks(3, ClusterSpec::ideal(3), |comm| {
+            let want: Vec<BlockId> =
+                (0..8u64).filter(|id| *id as usize % 3 == comm.rank()).map(BlockId).collect();
+            let (blocks, _) = genx_repro::rochdf::read_partitioned(
+                &fs,
+                &comm,
+                LibraryModel::hdf4(),
+                &prefix,
+                &want,
+                2,
+            )?;
+            for b in &blocks {
+                let v = b.dataset("p").unwrap().data.to_typed().unwrap();
+                assert!(v.as_f64().unwrap().iter().all(|&x| x == tp_marker(b.id.0)));
+            }
+            Ok(blocks.iter().map(|b| b.id.0).collect())
+        })
+    })
+}
+
+/// Flip one bit of the first payload element of block `id` in `path`.
+/// `rewrite_image` starts a new file generation, like any real rewrite.
+fn flip_payload_bit(fs: &SharedFs, path: &str, id: u64) {
+    fs.rewrite_image(path, |v| {
+        let at = v
+            .windows(8)
+            .position(|w| w == tp_marker(id).to_le_bytes())
+            .expect("marker present in the file");
+        v[at] ^= 0x01;
+    })
+    .unwrap();
+}
+
+fn assert_every_rank_corrupt(
+    out: &[Result<Vec<u64>, genx_repro::core::RocError>],
+    path: &str,
+) {
+    assert_eq!(out.len(), 3);
+    for (r, res) in out.iter().enumerate() {
+        match res {
+            Err(genx_repro::core::RocError::Corrupt(m)) => {
+                assert!(m.contains(path), "rank {r}: error must name '{path}': {m}")
+            }
+            other => panic!("rank {r}: expected Corrupt naming '{path}', got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn two_phase_corrupt_header_fails_every_rank_without_hanging() {
+    let fs = Arc::new(SharedFs::ideal());
+    let (prefix, files) = write_tp_snapshot(&fs);
+    // files[0] belongs to aggregator 0: its open fails on the bad magic.
+    fs.rewrite_image(&files[0], |v| v[0] ^= 0xFF).unwrap();
+    assert_every_rank_corrupt(&tp_restore(&fs, &prefix), &files[0]);
+}
+
+#[test]
+fn two_phase_corrupt_payload_fails_every_rank_cold() {
+    let fs = Arc::new(SharedFs::ideal());
+    let (prefix, files) = write_tp_snapshot(&fs);
+    // files[1] (blocks 2 and 3) belongs to aggregator 1; the record
+    // structure still parses, only the payload CRC catches the damage.
+    flip_payload_bit(&fs, &files[1], 3);
+    assert_every_rank_corrupt(&tp_restore(&fs, &prefix), &files[1]);
+}
+
+#[test]
+fn two_phase_corrupt_payload_fails_after_a_warm_restore() {
+    let fs = Arc::new(SharedFs::ideal());
+    let (prefix, files) = write_tp_snapshot(&fs);
+    // A clean restore marks every record verified for this generation.
+    let clean = tp_restore(&fs, &prefix);
+    let ids: Vec<Vec<u64>> = clean.into_iter().map(Result::unwrap).collect();
+    assert_eq!(ids, vec![vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
+    // The rewrite starts a new generation: the old flags must not mask it.
+    flip_payload_bit(&fs, &files[2], 4);
+    assert_every_rank_corrupt(&tp_restore(&fs, &prefix), &files[2]);
+    // Repairing the file (another generation) restores cleanly again:
+    // the failed collective left nothing behind.
+    fs.rewrite_image(&files[2], |v| {
+        let mut bad = tp_marker(4).to_le_bytes();
+        bad[0] ^= 0x01;
+        let at = v.windows(8).position(|w| w == bad).expect("damaged marker present");
+        v[at] ^= 0x01;
+    })
+    .unwrap();
+    assert!(tp_restore(&fs, &prefix).iter().all(Result::is_ok));
+}
