@@ -38,7 +38,7 @@ pub use checksum::Checksum;
 pub use dataset::Dataset;
 pub use dtype::{ArrayData, DType, SharedArray};
 pub use error::{Result, RocError};
-pub use segment::{segments_len, segments_to_vec, Segment};
+pub use segment::{flatten_parts, segments_len, segments_to_parts, segments_to_vec, Segment};
 pub use snapshot::{snapshot_file_name, snapshot_file_prefix, SnapshotId};
 pub use tenant::{Priority, ServiceError, ServiceErrorKind, TenantId};
 pub use units::{fmt_bytes, SimTime, KIB, MIB};

@@ -13,7 +13,7 @@ use std::ops::Deref;
 use std::sync::OnceLock;
 
 use bytes::Bytes;
-use rocio_core::{segments_len, segments_to_vec, Segment};
+use rocio_core::{flatten_parts, segments_to_parts, Segment};
 
 /// The bytes of one message.
 #[derive(Debug, Clone)]
@@ -31,23 +31,18 @@ enum Repr {
 }
 
 impl Payload {
-    /// Build a payload from a scatter-gather list: each `Shared` segment
-    /// becomes a part by refcount, each run of adjacent `Owned` segments
-    /// is copied into one part, and empty segments are dropped.
+    /// Build a payload from a scatter-gather list
+    /// ([`rocio_core::segments_to_parts`]): each `Shared` segment becomes a
+    /// part by refcount, each run of adjacent `Owned` segments a window of
+    /// one per-call arena, and empty segments are dropped.
     pub fn from_segments(segments: &[Segment]) -> Self {
-        let runs = || {
-            segments
-                .chunk_by(|a, b| matches!((a, b), (Segment::Owned(_), Segment::Owned(_))))
-                .filter(|run| segments_len(run) > 0)
+        let mut it = segments_to_parts(segments);
+        let first = it.next().unwrap_or_default();
+        let Some(second) = it.next() else {
+            return Payload(Repr::One(first));
         };
-        let part = |run: &[Segment]| match run {
-            [Segment::Shared(b)] => b.clone(),
-            owned => Bytes::from(segments_to_vec(owned)),
-        };
-        if runs().nth(1).is_none() {
-            return Payload(Repr::One(runs().next().map(part).unwrap_or_default()));
-        }
-        let parts: Vec<Bytes> = runs().map(part).collect();
+        let mut parts = vec![first, second];
+        parts.extend(it);
         let len = parts.iter().map(Bytes::len).sum();
         Payload(Repr::Many {
             parts,
@@ -87,17 +82,9 @@ impl Payload {
     fn flat(&self) -> &Bytes {
         match &self.0 {
             Repr::One(b) => b,
-            Repr::Many { parts, len, flat } => flat.get_or_init(|| assemble(parts, *len)),
+            Repr::Many { parts, flat, .. } => flat.get_or_init(|| flatten_parts(parts)),
         }
     }
-}
-
-fn assemble(parts: &[Bytes], len: usize) -> Bytes {
-    let mut out = Vec::with_capacity(len);
-    for p in parts {
-        out.extend_from_slice(p);
-    }
-    Bytes::from(out)
 }
 
 impl From<Bytes> for Payload {
@@ -141,7 +128,7 @@ mod tests {
         );
         assert_eq!(parts[2], b"tail"[..]);
         assert_eq!(p.len(), 16);
-        assert_eq!(&p[..], segments_to_vec(&segs).as_slice());
+        assert_eq!(&p[..], rocio_core::segments_to_vec(&segs).as_slice());
         // The contiguous image is assembled once and then shared.
         assert_eq!(p.bytes().as_ptr(), p.bytes().as_ptr());
     }

@@ -676,6 +676,56 @@ mod tests {
         assert_eq!(st.files_finished, 1);
     }
 
+    /// Buffer occupancy returns to zero once the queue drains: intake and
+    /// drain account the same (wire) size per block. The capacity holds
+    /// exactly one snapshot's blocks and every snapshot is synced, so the
+    /// buffer can never legitimately overflow — with intake counting wire
+    /// bytes but drain subtracting encoded bytes, the residue grew by a
+    /// few hundred bytes per snapshot until every snapshot overflowed.
+    #[test]
+    fn synced_snapshots_never_overflow_a_one_snapshot_buffer() {
+        const N_SNAPS: u64 = 40;
+        const N_PANES: usize = 8;
+        let ws = build_windows(0, N_PANES);
+        let sel = AttrSelector::all("fluid");
+        let blocks =
+            roccom::convert::window_to_blocks(ws.window("fluid").unwrap(), &sel.attr).unwrap();
+        let snapshot_wire_bytes: usize = blocks
+            .into_iter()
+            .map(|block| {
+                let msg = crate::wire::BlockMsg {
+                    snap: SnapshotId::new(0, 0),
+                    window: "fluid".into(),
+                    block,
+                };
+                msg.encode().len()
+            })
+            .sum();
+        let fs = SharedFs::ideal();
+        let cfg = RocpandaConfig {
+            buffer_capacity: snapshot_wire_bytes,
+            ack_window: 1,
+            ..Default::default()
+        };
+        let stats = run_ranks(2, ClusterSpec::ideal(2), move |comm| {
+            match init(&comm, &fs, cfg.clone(), &[0]).unwrap() {
+                Role::Server(mut s) => Some(s.run().unwrap()),
+                Role::Client { io: mut c, comm: _app } => {
+                    for step in 0..N_SNAPS {
+                        let snap = SnapshotId::new(step, 0);
+                        c.write_attribute(&ws, &sel, snap).unwrap();
+                        c.sync().unwrap();
+                    }
+                    c.finalize().unwrap();
+                    None
+                }
+            }
+        });
+        let st = stats[0].unwrap();
+        assert_eq!(st.blocks_written, N_SNAPS * N_PANES as u64);
+        assert_eq!(st.buffer_overflows, 0, "occupancy drifted past a one-snapshot buffer");
+    }
+
     /// Non-divisible client:server ratios: the client→server assignment
     /// must agree with the servers' own group partition (regression for a
     /// deadlock found by the protocol property test), including the

@@ -129,6 +129,9 @@ struct Queued {
     block: DataBlock,
     /// Encoded size, charged against the tenant's DRR deficit.
     size: u64,
+    /// Wire size added to the server's buffer occupancy at intake; the
+    /// drain subtracts exactly this, so occupancy returns to zero.
+    intake_bytes: usize,
     /// Virtual time the block entered the queue (drain-latency stats).
     enqueued: f64,
 }
@@ -162,6 +165,8 @@ pub struct PandaServer<'a> {
     drain_deficit: HashMap<TenantId, u64>,
     /// Total blocks across all drain queues.
     queued_total: usize,
+    /// Buffer occupancy: the wire sizes of every queued block (zero
+    /// exactly when the queues are empty).
     buffered_bytes: usize,
     /// (client world rank, file key) → blocks still expected from them.
     client_pending: HashMap<(usize, FileKey), u32>,
@@ -398,7 +403,7 @@ impl<'a> PandaServer<'a> {
                             .or_default()
                             .insert(bm.block.id.0, bm.block.clone());
                     }
-                    self.enqueue(key.clone(), bm.block);
+                    self.enqueue(key.clone(), bm.block, bytes);
                     if rocobs::enabled() {
                         rocobs::record(
                             rocobs::SpanCategory::BufferFill,
@@ -513,10 +518,11 @@ impl<'a> PandaServer<'a> {
     }
 
     /// Queue a buffered block on its tenant's drain lane.
-    fn enqueue(&mut self, key: FileKey, block: DataBlock) {
+    fn enqueue(&mut self, key: FileKey, block: DataBlock, intake_bytes: usize) {
         let tenant = key.tenant;
         let item = Queued {
             size: block.encoded_size() as u64,
+            intake_bytes,
             enqueued: self.world.now(),
             key,
             block,
@@ -569,7 +575,7 @@ impl<'a> PandaServer<'a> {
         if let Some(item) = self.pop_next() {
             let t0 = self.world.now();
             let bytes = item.block.encoded_size();
-            self.buffered_bytes = self.buffered_bytes.saturating_sub(bytes);
+            self.buffered_bytes -= item.intake_bytes;
             self.write_checked(&item.key, &item.block)?;
             let latency = self.world.now() - item.enqueued;
             let ds = self.drain_stats.entry(item.key.tenant).or_default();

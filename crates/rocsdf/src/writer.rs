@@ -111,7 +111,11 @@ impl Default for SegmentPool {
 /// lists (owned headers from a recycled [`SegmentPool`], shared payload
 /// views by refcount) and handed to the file system in one
 /// `writev`-style append — no per-block flatten, no `Dataset` clones for
-/// renaming, no re-encode to attach checksums.
+/// renaming, no re-encode to attach checksums. The store keeps the shared
+/// views as parts of the file and copies only the headers, and `finish`
+/// canonicalizes the record order by re-slicing those parts
+/// (`SharedFs::reorder`), so a shared payload is never copied on the way
+/// to storage.
 pub struct SdfFileWriter<'fs> {
     fs: &'fs SharedFs,
     path: String,
@@ -198,13 +202,14 @@ impl<'fs> SdfFileWriter<'fs> {
         let mut overhead = 0.0;
         let mut batch_len = 0u64;
         let mut stage =
-            |ds: &Dataset, name: Option<&str>, segs: &mut Vec<Segment>, this: &mut Self| {
+            |ds: &Dataset, name: Option<String>, segs: &mut Vec<Segment>, this: &mut Self| {
                 overhead_acc(&mut overhead, this.lib.create_cost(this.entries.len()));
                 let before = segs.len();
-                encode_dataset_segments(ds, name, Some(payload_crc32(ds)), this.pool.take(), segs);
+                let crc = Some(payload_crc32(ds));
+                encode_dataset_segments(ds, name.as_deref(), crc, this.pool.take(), segs);
                 let len: u64 = segs[before..].iter().map(|s| s.len() as u64).sum();
                 this.entries.push(IndexEntry {
-                    name: name.unwrap_or(&ds.name).to_string(),
+                    name: name.unwrap_or_else(|| ds.name.clone()),
                     offset: this.offset + batch_len,
                     len,
                 });
@@ -212,8 +217,7 @@ impl<'fs> SdfFileWriter<'fs> {
             };
         stage(&block_meta_dataset(block), None, &mut segs, self);
         for ds in &block.datasets {
-            let full = format!("{prefix}{}", ds.name);
-            stage(ds, Some(&full), &mut segs, self);
+            stage(ds, Some(format!("{prefix}{}", ds.name)), &mut segs, self);
         }
         let t = self
             .fs
@@ -230,49 +234,39 @@ impl<'fs> SdfFileWriter<'fs> {
     /// race artifact (and, on a degraded network, a retransmission
     /// artifact); finished files must not encode it, so equal writes yield
     /// byte-identical files no matter how the fabric interleaved them.
-    /// Zero virtual cost: every byte was charged when it was appended, and
-    /// the permutation models the library placing records at their indexed
-    /// slots (see `SharedFs::rewrite_image`). Files containing any
-    /// non-block record (standalone datasets) are left untouched.
+    /// Zero virtual cost and zero copy: every byte was charged when it was
+    /// appended, and the permutation — a re-slicing of the stored parts —
+    /// models the library placing records at their indexed slots (see
+    /// `SharedFs::reorder`). Files containing any non-block record
+    /// (standalone datasets) are left untouched.
     fn canonicalize_layout(&mut self) -> Result<()> {
-        // Group contiguous entries by block prefix; bail on non-block names.
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (i, e) in self.entries.iter().enumerate() {
+        let mut ids = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
             let Some(id) = crate::format::parse_block_id(&e.name) else {
                 return Ok(());
             };
-            match groups.last_mut() {
-                Some((gid, idxs)) if *gid == id.0 => idxs.push(i),
-                _ => groups.push((id.0, vec![i])),
-            }
+            ids.push(id.0);
         }
-        if groups.windows(2).all(|w| w[0].0 <= w[1].0) {
+        if ids.is_sorted() {
             return Ok(());
         }
-        groups.sort_by_key(|(id, _)| *id);
-        let old = std::mem::take(&mut self.entries);
-        let header_len = encode_header().len();
-        self.fs.rewrite_image(&self.path, |img| {
-            let mut out = Vec::with_capacity(img.len());
-            out.extend_from_slice(&img[..header_len]);
-            for (_, idxs) in &groups {
-                for &i in idxs {
-                    let e = &old[i];
-                    out.extend_from_slice(&img[e.offset as usize..(e.offset + e.len) as usize]);
-                }
-            }
-            *img = out;
-        })?;
-        let mut off = header_len as u64;
-        for (_, idxs) in &groups {
-            for &i in idxs {
-                let mut e = old[i].clone();
-                e.offset = off;
-                off += e.len;
-                self.entries.push(e);
-            }
+        // A stable sort by block id keeps each block's records in order.
+        let mut keyed: Vec<(u64, IndexEntry)> = ids
+            .into_iter()
+            .zip(std::mem::take(&mut self.entries))
+            .collect();
+        keyed.sort_by_key(|&(id, _)| id);
+        let header_len = encode_header().len() as u64;
+        let mut ranges = Vec::with_capacity(keyed.len() + 1);
+        ranges.push((0, header_len as usize));
+        let mut off = header_len;
+        for (_, mut e) in keyed {
+            ranges.push((e.offset as usize, e.len as usize));
+            e.offset = off;
+            off += e.len;
+            self.entries.push(e);
         }
-        Ok(())
+        self.fs.reorder(&self.path, &ranges)
     }
 
     /// Write the index and trailer, close the file. Returns the completion

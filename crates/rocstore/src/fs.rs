@@ -48,45 +48,101 @@ impl ServerState {
     }
 }
 
-/// Backing bytes of one file: writable while being appended, frozen into
-/// a refcounted shared buffer on the first shared read. Both transitions
-/// preserve the bytes; freezing is O(1) (adopts the `Vec`'s allocation),
-/// thawing copies once. Windows handed out before a thaw keep the old
-/// allocation alive and keep reading the old bytes — mutation never
-/// invalidates an outstanding read window.
-enum FileData {
-    Writable(Vec<u8>),
-    Frozen(Bytes),
+/// Backing bytes of one file: a rope of refcounted parts in file order.
+///
+/// Appends keep what they are handed: [`SharedFs::append_segments`] adopts
+/// shared payload views by refcount (owned header runs are copied once,
+/// into one arena per call) and [`SharedFs::append`] pushes one copied
+/// part. [`SharedFs::reorder`] permutes the file by re-slicing its parts,
+/// without a copy. The first read after a mutation flattens the rope
+/// once into a single part — the frozen image read windows are sliced
+/// from — and `write_at`/`rewrite_image` work on a flattened copy.
+///
+/// A stored part keeps its whole source buffer (a message, an arena)
+/// alive until the file is flattened or deleted. Parts are immutable, so
+/// windows handed out earlier keep their bytes across any later
+/// mutation or deletion.
+#[derive(Default)]
+struct FileData {
+    /// Non-empty parts; exactly one after a flatten.
+    parts: Vec<Bytes>,
+    /// Sum of the parts' lengths.
+    len: usize,
 }
 
 impl FileData {
     fn len(&self) -> usize {
-        match self {
-            FileData::Writable(v) => v.len(),
-            FileData::Frozen(b) => b.len(),
+        self.len
+    }
+
+    /// Append one part (empty parts are dropped).
+    fn push(&mut self, part: Bytes) {
+        if !part.is_empty() {
+            self.len += part.len();
+            self.parts.push(part);
         }
     }
 
-    /// Thaw for mutation (copies once if frozen).
-    fn make_writable(&mut self) -> &mut Vec<u8> {
-        if let FileData::Frozen(b) = self {
-            *self = FileData::Writable(b.to_vec());
-        }
-        match self {
-            FileData::Writable(v) => v,
-            FileData::Frozen(_) => unreachable!("just thawed"),
-        }
+    /// Append a segment list as parts
+    /// ([`rocio_core::segments_to_parts`]).
+    fn push_segments(&mut self, segments: &[rocio_core::Segment]) {
+        self.parts.extend(rocio_core::segments_to_parts(segments));
+        self.len += rocio_core::segments_len(segments);
     }
 
-    /// Freeze for shared reads (O(1): adopts the `Vec`'s allocation).
-    fn freeze(&mut self) -> &Bytes {
-        if let FileData::Writable(v) = self {
-            *self = FileData::Frozen(Bytes::from(std::mem::take(v)));
+    /// The file as one contiguous buffer, flattening the rope on the first
+    /// call after a mutation (later calls are O(1)).
+    fn image(&mut self) -> Bytes {
+        if self.parts.len() > 1 {
+            self.parts = vec![rocio_core::flatten_parts(&self.parts)];
         }
-        match self {
-            FileData::Frozen(b) => b,
-            FileData::Writable(_) => unreachable!("just froze"),
+        self.parts.first().cloned().unwrap_or_default()
+    }
+
+    /// Replace the contents with one owned buffer.
+    fn set(&mut self, v: Vec<u8>) {
+        *self = FileData::default();
+        self.push(Bytes::from(v));
+    }
+
+    /// Replace the file with the concatenation of `ranges` of itself, in
+    /// the given order, by slicing parts (no byte is copied). The ranges
+    /// must tile `0..len` exactly — a permutation, not a rewrite.
+    fn reorder(&mut self, ranges: &[(usize, usize)]) -> std::result::Result<(), String> {
+        let mut sorted = ranges.to_vec();
+        sorted.sort_unstable();
+        let mut cursor = 0;
+        for &(offset, len) in &sorted {
+            if offset != cursor {
+                return Err(format!("ranges leave a gap or overlap at byte {cursor}"));
+            }
+            cursor = cursor
+                .checked_add(len)
+                .ok_or_else(|| format!("range ({offset}, {len}) overflows"))?;
         }
+        if cursor != self.len {
+            return Err(format!("ranges cover {cursor} of {} bytes", self.len));
+        }
+        let mut starts = Vec::with_capacity(self.parts.len());
+        let mut at = 0;
+        for p in &self.parts {
+            starts.push(at);
+            at += p.len();
+        }
+        let mut parts = Vec::with_capacity(self.parts.len() + ranges.len());
+        for &(offset, len) in ranges {
+            let (mut pos, end) = (offset, offset + len);
+            let mut i = starts.partition_point(|&s| s <= pos).saturating_sub(1);
+            while pos < end {
+                let (start, part) = (starts[i], &self.parts[i]);
+                let stop = end.min(start + part.len());
+                parts.push(part.slice(pos - start..stop - start));
+                pos = stop;
+                i += 1;
+            }
+        }
+        self.parts = parts;
+        Ok(())
     }
 }
 
@@ -404,7 +460,7 @@ impl SharedFs {
             let old = files.insert(
                 path.to_string(),
                 StoredFile {
-                    data: FileData::Writable(Vec::new()),
+                    data: FileData::default(),
                     generation: self.next_gen(),
                     tenant,
                     charged: 0,
@@ -430,7 +486,7 @@ impl SharedFs {
             // Check-and-charge under the files guard: atomic with respect
             // to every other writer's charge (the PR-9 race fix).
             self.ledger.lock().charge(f.tenant, data.len() as u64)?;
-            f.data.make_writable().extend_from_slice(data);
+            f.data.push(Bytes::copy_from_slice(data));
             f.charged += data.len() as u64;
             f.generation = self.next_gen();
         }
@@ -443,10 +499,13 @@ impl SharedFs {
 
     /// Append a scatter-gather segment list to a file (must exist): the
     /// `writev`-style entry point of the zero-copy drain path. The
-    /// segments land in the backing store in order, with one quota check,
-    /// one stats update and one timing charge for the summed length —
-    /// byte- and cost-identical to flattening the list first, minus the
-    /// flattening copy.
+    /// segments become parts of the file in order
+    /// ([`rocio_core::segments_to_parts`]: shared payloads by refcount,
+    /// owned runs copied once into one arena), with one quota check, one
+    /// stats update and one timing charge for the summed length — byte-
+    /// and cost-identical to appending the flattened list, minus the
+    /// copies. The stored parts keep their source buffers alive until the
+    /// file is flattened by a read or deleted.
     pub fn append_segments(
         &self,
         path: &str,
@@ -461,11 +520,7 @@ impl SharedFs {
                 .get_mut(path)
                 .ok_or_else(|| RocError::Storage(format!("append: no such file '{path}'")))?;
             self.ledger.lock().charge(f.tenant, total as u64)?;
-            let v = f.data.make_writable();
-            v.reserve(total);
-            for s in segments {
-                v.extend_from_slice(s.as_slice());
-            }
+            f.data.push_segments(segments);
             f.charged += total as u64;
             f.generation = self.next_gen();
         }
@@ -493,11 +548,12 @@ impl SharedFs {
             // Only growth consumes quota: overwriting stored bytes is free.
             let growth = (offset + data.len()).saturating_sub(f.data.len()) as u64;
             self.ledger.lock().charge(f.tenant, growth)?;
-            let v = f.data.make_writable();
+            let mut v = f.data.image().to_vec();
             if v.len() < offset + data.len() {
                 v.resize(offset + data.len(), 0);
             }
             v[offset..offset + data.len()].copy_from_slice(data);
+            f.data.set(v);
             f.charged += growth;
             f.generation = self.next_gen();
         }
@@ -508,14 +564,37 @@ impl SharedFs {
         Ok(self.charge_write(path, data.len(), client, now))
     }
 
-    /// Permute a file's bytes in place, at **zero virtual cost** and with
-    /// no ledger traffic. This is the administrative hook a finalizing
-    /// writer uses to present records at their canonical (indexed) offsets
-    /// regardless of arrival order: every byte's transfer was already
-    /// charged when it was appended, and a real library achieves the same
-    /// layout by writing each record at its slot to begin with — the
-    /// simulator separates the two so streamed appends stay cheap. The
-    /// callback must not change the file's length (checked).
+    /// Replace a file with a permutation of its own byte ranges, at **zero
+    /// virtual cost** and with no ledger or stats traffic: the file becomes
+    /// the concatenation of `ranges` (`(offset, len)` pairs) in the order
+    /// given, which must tile the file exactly — every byte once, no gap,
+    /// no overlap (checked; the file is untouched on error). No byte is
+    /// copied: the new image is a list of slices of the old parts.
+    ///
+    /// This is the administrative hook a finalizing writer uses to present
+    /// records at their canonical (indexed) offsets regardless of arrival
+    /// order: every byte's transfer was already charged when it was
+    /// appended, and a real library achieves the same layout by writing
+    /// each record at its slot to begin with — the simulator separates the
+    /// two so streamed appends stay cheap. Like any mutation it starts a
+    /// new file generation (invalidating [`SharedFs::cache_get`]); windows
+    /// handed out before keep their bytes.
+    pub fn reorder(&self, path: &str, ranges: &[(usize, usize)]) -> Result<()> {
+        let mut files = self.files.lock();
+        let file = files
+            .get_mut(path)
+            .ok_or_else(|| RocError::Storage(format!("reorder: no such file '{path}'")))?;
+        file.data
+            .reorder(ranges)
+            .map_err(|e| RocError::Storage(format!("reorder: {e} in '{path}'")))?;
+        file.generation = self.next_gen();
+        Ok(())
+    }
+
+    /// Rewrite a file's bytes through `f`, at **zero virtual cost** and
+    /// with no ledger traffic (fault injection: corrupt a stored image).
+    /// `f` works on a flattened copy of the file, which replaces it only
+    /// if the length is unchanged (checked).
     pub fn rewrite_image(
         &self,
         path: &str,
@@ -525,15 +604,16 @@ impl SharedFs {
         let file = files
             .get_mut(path)
             .ok_or_else(|| RocError::Storage(format!("rewrite_image: no such file '{path}'")))?;
-        let v = file.data.make_writable();
+        let mut v = file.data.image().to_vec();
         let before = v.len();
-        f(v);
+        f(&mut v);
         if v.len() != before {
             return Err(RocError::Storage(format!(
                 "rewrite_image: length changed ({before} -> {}) for '{path}'",
                 v.len()
             )));
         }
+        file.data.set(v);
         file.generation = self.next_gen();
         Ok(())
     }
@@ -551,14 +631,15 @@ impl SharedFs {
     /// with a fixed `lead` (e.g. a per-record lookup cost) charged before
     /// each one. Cost- and stats-identical **by construction** to issuing
     /// the reads one by one — one stats bump and one [`charge_read`] per
-    /// range — while the host does a single lock/freeze for the whole
+    /// range — while the host does a single lock/flatten for the whole
     /// batch. This is the coalesced-read entry point: a reader that knows
     /// several records are contiguous fetches them all in one fs op and
     /// carves each out as an O(1) window.
     ///
     /// The windows stay valid (and keep their bytes) across later
-    /// mutations or deletion of the file: mutating a frozen file thaws it
-    /// into a fresh buffer, so outstanding windows pin the old one.
+    /// mutations or deletion of the file: stored parts are immutable, and
+    /// a mutation replaces parts rather than writing into them, so
+    /// outstanding windows pin the old buffer.
     ///
     /// Degenerate inputs are well-defined rather than caller discipline:
     /// an empty range list returns `(vec![], now)` without touching the
@@ -634,7 +715,7 @@ impl SharedFs {
         Ok((windows, t))
     }
 
-    /// Freeze `path` and slice one zero-copy window per requested range,
+    /// Flatten `path` and slice one zero-copy window per requested range,
     /// in input order (shared by the per-range and sieved read paths; no
     /// timing or stats).
     fn slice_windows(&self, path: &str, ranges: &[(usize, usize)]) -> Result<Vec<Bytes>> {
@@ -642,7 +723,7 @@ impl SharedFs {
         let f = files
             .get_mut(path)
             .ok_or_else(|| RocError::Storage(format!("read: no such file '{path}'")))?;
-        let data = f.data.freeze();
+        let data = f.data.image();
         let eof = data.len();
         let mut out = Vec::with_capacity(ranges.len());
         for &(offset, len) in ranges {
@@ -1124,7 +1205,7 @@ mod tests {
         fs.create("f", 0, 0.0);
         fs.append("f", b"old-bytes", 0, 0.0).unwrap();
         let (w, _) = fs.read_shared("f", 0, 9, 0, 0.0).unwrap();
-        // Mutation thaws into a fresh buffer; the window pins the old one.
+        // Mutation adds or replaces parts; the window pins the old one.
         fs.append("f", b"+new", 0, 1.0).unwrap();
         let (now, _) = fs.read_all("f", 0, 2.0).unwrap();
         assert_eq!(now, b"old-bytes+new");
@@ -1162,10 +1243,10 @@ mod tests {
         fs.set_quota(100);
         fs.create("f", 0, 0.0);
         fs.append("f", &[0u8; 60], 0, 0.0).unwrap();
-        fs.read_shared("f", 0, 60, 0, 0.0).unwrap(); // freezes
+        fs.read_shared("f", 0, 60, 0, 0.0).unwrap(); // flattens
         assert_eq!(fs.used_bytes(), 60);
         assert!(fs.append("f", &[0u8; 60], 0, 0.0).is_err());
-        fs.append("f", &[0u8; 40], 0, 0.0).unwrap(); // thaw + append still fits
+        fs.append("f", &[0u8; 40], 0, 0.0).unwrap(); // append after a flatten still fits
         assert_eq!(fs.used_bytes(), 100);
     }
 
