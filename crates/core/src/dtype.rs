@@ -183,52 +183,41 @@ impl ArrayData {
 
     /// Encode as little-endian bytes, appending to `out`.
     pub fn to_le_bytes(&self, out: &mut Vec<u8>) {
-        match self {
-            ArrayData::U8(v) => out.extend_from_slice(v),
-            ArrayData::I32(v) => {
-                out.reserve(v.len() * 4);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ArrayData::I64(v) => {
-                out.reserve(v.len() * 8);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ArrayData::F32(v) => {
-                out.reserve(v.len() * 4);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ArrayData::F64(v) => {
-                out.reserve(v.len() * 8);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ArrayData::Shared(s) => out.extend_from_slice(s.bytes()),
-        }
+        out.reserve(self.byte_len());
+        self.for_each_le_chunk(|c| out.extend_from_slice(c));
     }
 
-    /// Call `f` with the canonical little-endian payload bytes.
+    /// Feed the canonical little-endian payload bytes to `f`, in order,
+    /// as one or more consecutive chunks.
     ///
-    /// `U8` and `Shared` payloads are borrowed without copying; the other
-    /// typed variants are encoded into a scratch buffer first. This is the
-    /// checksum/inspection entry point that avoids the encode-to-`Vec`
-    /// round trip for data already in wire form.
-    pub fn with_le_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+    /// `U8` and `Shared` payloads are passed through in place as a single
+    /// chunk; the other typed variants are encoded through a stack buffer
+    /// of [`LE_CHUNK`] bytes (small enough for pooled rank stacks), so no
+    /// payload is ever copied to the heap. Consumers must not depend on
+    /// where the chunk boundaries fall — checksums and the CRC stream.
+    pub fn for_each_le_chunk(&self, mut f: impl FnMut(&[u8])) {
         match self {
             ArrayData::U8(v) => f(v),
             ArrayData::Shared(s) => f(s.bytes()),
-            other => {
-                let mut scratch = Vec::with_capacity(other.byte_len());
-                other.to_le_bytes(&mut scratch);
-                f(&scratch)
-            }
+            ArrayData::I32(v) => le_chunks(v, i32::to_le_bytes, f),
+            ArrayData::I64(v) => le_chunks(v, i64::to_le_bytes, f),
+            ArrayData::F32(v) => le_chunks(v, f32::to_le_bytes, f),
+            ArrayData::F64(v) => le_chunks(v, f64::to_le_bytes, f),
         }
+    }
+
+    /// True when this array's canonical little-endian bytes are `bytes`.
+    fn le_bytes_eq(&self, bytes: &[u8]) -> bool {
+        if self.byte_len() != bytes.len() {
+            return false;
+        }
+        let mut rest = bytes;
+        let mut eq = true;
+        self.for_each_le_chunk(|c| {
+            eq = eq && rest.starts_with(c);
+            rest = rest.get(c.len()..).unwrap_or_default();
+        });
+        eq
     }
 
     /// Wrap an already-encoded little-endian payload without copying.
@@ -351,21 +340,45 @@ impl ArrayData {
 
 /// Logical equality: two arrays are equal when they hold the same dtype,
 /// element count and canonical little-endian bytes — a `Shared` payload
-/// compares equal to the typed array it encodes.
+/// compares equal to the typed array it encodes. Floats therefore compare
+/// by bit pattern (`0.0 != -0.0`, a NaN equals itself), which keeps the
+/// relation transitive across typed and `Shared` payloads and consistent
+/// with [`crate::Checksum`].
 impl PartialEq for ArrayData {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (ArrayData::U8(a), ArrayData::U8(b)) => a == b,
             (ArrayData::I32(a), ArrayData::I32(b)) => a == b,
             (ArrayData::I64(a), ArrayData::I64(b)) => a == b,
-            (ArrayData::F32(a), ArrayData::F32(b)) => a == b,
-            (ArrayData::F64(a), ArrayData::F64(b)) => a == b,
-            (a, b) => {
-                a.dtype() == b.dtype()
-                    && a.len() == b.len()
-                    && a.with_le_bytes(|ab| b.with_le_bytes(|bb| ab == bb))
+            (ArrayData::F32(a), ArrayData::F32(b)) => bits_eq(a, b, f32::to_bits),
+            (ArrayData::F64(a), ArrayData::F64(b)) => bits_eq(a, b, f64::to_bits),
+            (ArrayData::Shared(s), o) | (o, ArrayData::Shared(s)) => {
+                o.dtype() == s.dtype() && o.len() == s.len() && o.le_bytes_eq(s.bytes())
             }
+            _ => false,
         }
+    }
+}
+
+/// Element-wise equality of two float slices by bit pattern.
+fn bits_eq<T: Copy, B: PartialEq>(a: &[T], b: &[T], bits: fn(T) -> B) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| bits(x) == bits(y))
+}
+
+/// Size of the stack buffer [`ArrayData::for_each_le_chunk`] encodes typed
+/// payloads through: every chunk but the last is exactly this long.
+pub const LE_CHUNK: usize = 4096;
+
+/// Encode `v` element by element into a [`LE_CHUNK`]-byte stack buffer,
+/// handing each filled buffer to `f`.
+fn le_chunks<const N: usize, T: Copy>(v: &[T], encode: fn(T) -> [u8; N], mut f: impl FnMut(&[u8])) {
+    let mut buf = [0u8; LE_CHUNK];
+    for elems in v.chunks(LE_CHUNK / N) {
+        let n = elems.len() * N;
+        for (dst, &x) in buf[..n].chunks_exact_mut(N).zip(elems) {
+            dst.copy_from_slice(&encode(x));
+        }
+        f(&buf[..n]);
     }
 }
 
@@ -508,11 +521,50 @@ mod tests {
     }
 
     #[test]
-    fn with_le_bytes_borrows_without_reencoding_shared() {
+    fn le_chunks_borrow_shared_and_split_typed_at_the_chunk_size() {
         let shared =
             ArrayData::from_le_shared(DType::U8, 4, bytes::Bytes::from(vec![9u8; 4])).unwrap();
-        shared.with_le_bytes(|b| assert_eq!(b, &[9u8; 4]));
-        ArrayData::I32(vec![1]).with_le_bytes(|b| assert_eq!(b, &[1, 0, 0, 0]));
+        let mut chunks = Vec::new();
+        shared.for_each_le_chunk(|b| chunks.push(b.to_vec()));
+        assert_eq!(chunks, vec![vec![9u8; 4]]);
+        let mut chunks = Vec::new();
+        ArrayData::I32(vec![1]).for_each_le_chunk(|b| chunks.push(b.to_vec()));
+        assert_eq!(chunks, vec![vec![1, 0, 0, 0]]);
+        // 1000 f64s = 8000 bytes: one full stack chunk, then the rest.
+        let typed = ArrayData::F64((0..1000).map(f64::from).collect());
+        let mut lens = Vec::new();
+        let mut joined = Vec::new();
+        typed.for_each_le_chunk(|b| {
+            lens.push(b.len());
+            joined.extend_from_slice(b);
+        });
+        assert_eq!(lens, vec![LE_CHUNK, 8000 - LE_CHUNK]);
+        let back = ArrayData::from_le_bytes(DType::F64, 1000, &joined).unwrap();
+        assert_eq!(back, typed);
+        let mut none = 0;
+        ArrayData::F32(vec![]).for_each_le_chunk(|_| none += 1);
+        assert_eq!(none, 0, "an empty typed payload yields no chunk");
+    }
+
+    #[test]
+    fn float_equality_is_bitwise_and_transitive_across_shared() {
+        fn shared(a: &ArrayData) -> ArrayData {
+            let mut le = Vec::new();
+            a.to_le_bytes(&mut le);
+            ArrayData::from_le_shared(a.dtype(), a.len(), Bytes::from(le)).unwrap()
+        }
+        let pos = ArrayData::F64(vec![0.0]);
+        let neg = ArrayData::F64(vec![-0.0]);
+        assert_ne!(pos, neg);
+        assert_ne!(pos, shared(&neg));
+        assert_eq!(neg, shared(&neg));
+        let nan = ArrayData::F64(vec![f64::NAN]);
+        assert_eq!(nan, nan.clone());
+        assert_eq!(nan, shared(&nan));
+        assert_ne!(ArrayData::F32(vec![0.0]), ArrayData::F32(vec![-0.0]));
+        let nan32 = ArrayData::F32(vec![f32::NAN, 1.0]);
+        assert_eq!(nan32, nan32.clone());
+        assert_eq!(shared(&nan32), nan32);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use attr::AttrValue;
 pub use block::{BlockId, DataBlock};
 pub use checksum::Checksum;
 pub use dataset::Dataset;
-pub use dtype::{ArrayData, DType, SharedArray};
+pub use dtype::{ArrayData, DType, SharedArray, LE_CHUNK};
 pub use error::{Result, RocError};
 pub use segment::{flatten_parts, segments_len, segments_to_parts, segments_to_vec, Segment};
 pub use snapshot::{snapshot_file_name, snapshot_file_prefix, SnapshotId};

@@ -2,6 +2,7 @@
 //! and checksums detect any content change.
 
 use proptest::prelude::*;
+use rocio_core::checksum::Hasher;
 use rocio_core::{ArrayData, AttrValue, BlockId, Checksum, DType, DataBlock, Dataset};
 
 fn arb_array() -> impl Strategy<Value = ArrayData> {
@@ -104,4 +105,69 @@ proptest! {
         renamed.window = "other".into();
         prop_assert_ne!(c1, Checksum::of_block(&renamed));
     }
+
+    #[test]
+    fn hasher_digest_is_independent_of_how_input_is_split(
+        data in prop::collection::vec(any::<u8>(), 0..300),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..8),
+    ) {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+        at.sort_unstable();
+        let mut h = Hasher::new();
+        let mut start = 0;
+        for end in at.into_iter().chain([data.len()]) {
+            h.update(&data[start..end]);
+            start = end;
+        }
+        prop_assert_eq!(h.finish(), Checksum::of_bytes(&data));
+    }
+
+    #[test]
+    fn equal_blocks_have_equal_checksums(
+        a in arb_special_array(),
+        b in arb_special_array(),
+        a_shared in any::<bool>(),
+        b_shared in any::<bool>(),
+    ) {
+        // Small value alphabets (with ±0 and NaN) make equal pairs common;
+        // typed and shared forms of each payload are both compared.
+        let block = |data: ArrayData, shared: bool| {
+            let data = if shared { shared_form(&data) } else { data };
+            let ds = Dataset::new("x", vec![data.len()], data).unwrap();
+            DataBlock::new(BlockId(1), "w").with_dataset(ds)
+        };
+        let (x, y) = (block(a.clone(), a_shared), block(b, b_shared));
+        prop_assert!(x == x.clone(), "equality must be reflexive (NaN payloads too)");
+        if x == y {
+            prop_assert_eq!(Checksum::of_block(&x), Checksum::of_block(&y));
+        }
+        // Every payload equals its own shared form, under both checksums.
+        let (t, s) = (block(a.clone(), false), block(a, true));
+        prop_assert_eq!(&t, &s);
+        prop_assert_eq!(&s, &t);
+        prop_assert_eq!(Checksum::of_block(&t), Checksum::of_block(&s));
+    }
+}
+
+/// Arrays of every dtype drawn from tiny alphabets, floats including ±0
+/// and NaN; lengths reach past one typed encode chunk.
+fn arb_special_array() -> impl Strategy<Value = ArrayData> {
+    let f64s = prop_oneof![Just(0.0f64), Just(-0.0), Just(f64::NAN), Just(1.0)];
+    let f32s = prop_oneof![Just(0.0f32), Just(-0.0), Just(f32::NAN), Just(1.0)];
+    let n = 0..1100usize;
+    prop_oneof![
+        prop::collection::vec(0u8..2, 0..3).prop_map(ArrayData::U8),
+        prop::collection::vec(0i32..2, 0..3).prop_map(ArrayData::I32),
+        prop::collection::vec(0i64..2, 0..3).prop_map(ArrayData::I64),
+        prop::collection::vec(f32s, 0..3).prop_map(ArrayData::F32),
+        prop::collection::vec(f64s, 0..3).prop_map(ArrayData::F64),
+        n.clone().prop_map(|n| ArrayData::F64(vec![-0.0; n])),
+        n.prop_map(|n| ArrayData::I32((0..n as i32).collect())),
+    ]
+}
+
+fn shared_form(a: &ArrayData) -> ArrayData {
+    let mut le = Vec::new();
+    a.to_le_bytes(&mut le);
+    ArrayData::from_le_shared(a.dtype(), a.len(), bytes::Bytes::from(le)).unwrap()
 }

@@ -16,7 +16,7 @@
 
 use bytes::Bytes;
 use rocio_core::{
-    ArrayData, AttrValue, BlockId, DType, DataBlock, Dataset, Result, RocError, Segment,
+    ArrayData, AttrValue, BlockId, DType, DataBlock, Dataset, Result, RocError, Segment, LE_CHUNK,
 };
 
 /// File magic, also used as the trailer sentinel.
@@ -59,7 +59,7 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
         let mut k = 0;
         while k < 8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (POLY & mask);
             k += 1;
         }
         t[0][i] = crc;
@@ -78,42 +78,157 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// CRC-32 (ISO-HDLC, the zlib polynomial) of `bytes`.
-///
-/// Slice-by-8: eight table lookups consume eight input bytes per step,
-/// an order of magnitude faster than the bit-serial loop the drain path
-/// used to pay per payload byte. Byte-identical to the bitwise
-/// definition (tested against it below).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        crc ^= u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = CRC_TABLES[7][(crc & 0xFF) as usize]
-            ^ CRC_TABLES[6][((crc >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((crc >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(crc >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
+/// Reflected CRC-32 generator polynomial (ISO-HDLC, as used by zlib).
+const POLY: u32 = 0xEDB8_8320;
+
+/// Inputs shorter than this take the single-lane loop: below it the lane
+/// fold costs more than the parallelism saves.
+const LANES_MIN: usize = 1024;
+
+/// `a(x) · b(x) mod P(x)` over GF(2), in the reflected bit order the CRC
+/// register uses (bit 31 is `x^0`).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
+        m >>= 1;
     }
-    for &b in chunks.remainder() {
+    p
+}
+
+/// `X8_POW2[k] = x^(8·2^k) mod P`: the operator that shifts a CRC register
+/// past `2^k` zero bytes, for every power of two a `usize` length can hold.
+const X8_POW2: [u32; usize::BITS as usize] = {
+    let mut t = [0u32; usize::BITS as usize];
+    t[0] = 1 << (31 - 8); // x^8
+    let mut k = 1;
+    while k < t.len() {
+        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// `x^(8·n) mod P`: multiplying a CRC register by it has the same effect
+/// as feeding it `n` zero bytes.
+const fn shift_op(mut n: usize) -> u32 {
+    let mut op = 1 << 31; // x^0
+    let mut k = 0;
+    while n != 0 {
+        if n & 1 != 0 {
+            op = mul_mod_p(X8_POW2[k], op);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    op
+}
+
+/// Advance the raw (uninverted) register by one 8-byte little-endian word.
+#[inline(always)]
+fn step8(crc: u32, word: u64) -> u32 {
+    let lo = crc ^ word as u32;
+    let hi = (word >> 32) as u32;
+    CRC_TABLES[7][(lo & 0xFF) as usize]
+        ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[4][(lo >> 24) as usize]
+        ^ CRC_TABLES[3][(hi & 0xFF) as usize]
+        ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[0][(hi >> 24) as usize]
+}
+
+/// Single-lane slice-by-8 over the raw register.
+fn update_serial(mut crc: u32, bytes: &[u8]) -> u32 {
+    let (words, rest) = bytes.as_chunks::<8>();
+    for w in words {
+        crc = step8(crc, u64::from_le_bytes(*w));
+    }
+    for &b in rest {
         crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// Four interleaved slice-by-8 lanes over consecutive `quarter`-byte
+/// slices of `bytes` (`quarter` a multiple of 8, `4 · quarter <= len`),
+/// folded with `op = shift_op(quarter)`; the tail takes the single lane.
+///
+/// The raw register is linear, so `crc(r, A ‖ B) = crc(r, A) · x^(8|B|) ⊕
+/// crc(0, B)`: lanes 1–3 start from zero and each fold shifts the running
+/// register past one quarter. The four lanes have independent dependency
+/// chains, which is what lets them overlap in the pipeline.
+fn update_lanes(crc: u32, bytes: &[u8], quarter: usize, op: u32) -> u32 {
+    assert_eq!(quarter % 8, 0, "lanes must cover whole 8-byte words");
+    let (a, rest) = bytes.split_at(quarter);
+    let (b, rest) = rest.split_at(quarter);
+    let (c, rest) = rest.split_at(quarter);
+    let (d, tail) = rest.split_at(quarter);
+    let [a, b, c, d] = [a, b, c, d].map(|q| q.as_chunks::<8>().0);
+    let mut l = [crc, 0, 0, 0];
+    for (((wa, wb), wc), wd) in a.iter().zip(b).zip(c).zip(d) {
+        l[0] = step8(l[0], u64::from_le_bytes(*wa));
+        l[1] = step8(l[1], u64::from_le_bytes(*wb));
+        l[2] = step8(l[2], u64::from_le_bytes(*wc));
+        l[3] = step8(l[3], u64::from_le_bytes(*wd));
+    }
+    let folded = l[1..]
+        .iter()
+        .fold(l[0], |acc, &lane| mul_mod_p(op, acc) ^ lane);
+    update_serial(folded, tail)
+}
+
+/// Advance the raw register over `bytes`, four lanes at a time when long.
+fn update_raw(crc: u32, bytes: &[u8]) -> u32 {
+    if bytes.len() < LANES_MIN {
+        return update_serial(crc, bytes);
+    }
+    let quarter = (bytes.len() / 4) & !7;
+    update_lanes(crc, bytes, quarter, shift_op(quarter))
+}
+
+/// CRC-32 (ISO-HDLC, the zlib polynomial) of `bytes`.
+///
+/// Slice-by-8 tables, run as four independent lanes over equal 8-byte
+/// aligned quarters of the input and folded together with a GF(2) shift
+/// (`x^(8·len) mod P`, from a compile-time `x^(2^k)` table); inputs under
+/// 1 KiB and the tail take the single-lane loop. Byte-identical to the
+/// bitwise definition (tested against it below).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Continue a CRC-32 over more input: `crc32_update(crc32(a), b)` equals
+/// `crc32(a ‖ b)`, so a payload can be checksummed chunk by chunk.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    !update_raw(!crc, bytes)
 }
 
 /// CRC-32 of a dataset's canonical little-endian payload bytes.
 ///
-/// Shared and `u8` payloads are checksummed in place; other typed
-/// payloads are encoded into a scratch buffer first. This replaces the
-/// old `with_crc` helper, which deep-copied the whole dataset just to
-/// attach the checksum attribute — encoders now inject the attribute
-/// during encoding instead (see [`encode_dataset_into`]).
+/// Streams [`ArrayData::for_each_le_chunk`]: shared and `u8` payloads are
+/// checksummed in place, typed payloads chunk by chunk out of a stack
+/// buffer, so no payload is copied to the heap. Every typed chunk but the
+/// last is [`LE_CHUNK`] bytes, whose lane fold is a compile-time constant.
+/// Encoders inject the result as the `__crc32__` attribute during
+/// encoding (see [`encode_dataset_into`]).
 pub fn payload_crc32(ds: &Dataset) -> u32 {
-    ds.data.with_le_bytes(crc32)
+    const CHUNK_QUARTER: usize = LE_CHUNK / 4;
+    const CHUNK_OP: u32 = shift_op(CHUNK_QUARTER);
+    let mut crc = !0;
+    ds.data.for_each_le_chunk(|c| {
+        crc = if c.len() == LE_CHUNK {
+            update_lanes(crc, c, CHUNK_QUARTER, CHUNK_OP)
+        } else {
+            update_raw(crc, c)
+        }
+    });
+    !crc
 }
 
 /// Dataset-name prefix for a block's group of datasets.
@@ -602,10 +717,29 @@ mod tests {
         }
         // ISO-HDLC check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        // Every length mod 8 (exercises the chunked body + remainder).
-        let data: Vec<u8> = (0u32..300).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
-        for len in 0..=data.len() {
+        // Every length mod 8 (exercises the chunked body + remainder),
+        // then lengths across the four-lane threshold, around the typed
+        // payload chunk size, and one long odd length.
+        let data: Vec<u8> = (0u32..100_003)
+            .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+            .collect();
+        let lens = (0..=300)
+            .chain(1000..=1100)
+            .chain(LE_CHUNK - 9..=LE_CHUNK + 9)
+            .chain([data.len()]);
+        for len in lens {
             assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn lane_shift_matches_feeding_zero_bytes() {
+        for n in [0, 1, 7, 8, 1024, 1031, 65_536] {
+            let zeros = vec![0u8; n];
+            for reg in [0x8000_0000u32, 0xDEAD_BEEF, !0] {
+                let shifted = mul_mod_p(shift_op(n), reg);
+                assert_eq!(shifted, update_serial(reg, &zeros), "n {n}");
+            }
         }
     }
 

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use rocio_core::{ArrayData, AttrValue, BlockId, DataBlock, Dataset};
+use rocsdf::format::{crc32, crc32_update};
 use rocsdf::{describe, LibraryModel, SdfFileReader, SdfFileWriter};
 use rocstore::SharedFs;
 
@@ -199,4 +200,68 @@ proptest! {
             prop_assert!(m.create_cost(hi) >= m.create_cost(lo));
         }
     }
+
+    #[test]
+    fn crc32_matches_bitwise_reference_on_random_buffers(
+        data in prop::collection::vec(any::<u8>(), 0..65_536),
+    ) {
+        prop_assert_eq!(crc32(&data), bitwise_crc32(&data), "len {}", data.len());
+    }
+
+    #[test]
+    fn crc32_streamed_in_random_splits_equals_one_shot(
+        data in prop::collection::vec(any::<u8>(), 0..12_000),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+    ) {
+        let crc = split_at_cuts(&data, &cuts)
+            .iter()
+            .fold(0, |crc, piece| crc32_update(crc, piece));
+        prop_assert_eq!(crc, crc32(&data));
+    }
+
+    #[test]
+    fn payload_crc32_is_the_crc_of_the_le_bytes(data in prop_oneof![
+        prop::collection::vec(any::<i32>(), 0..3000).prop_map(ArrayData::I32),
+        prop::collection::vec(any::<i64>(), 0..1500).prop_map(ArrayData::I64),
+        prop::collection::vec(any::<f32>(), 0..3000).prop_map(ArrayData::F32),
+        prop::collection::vec(any::<f64>(), 0..1500).prop_map(ArrayData::F64),
+    ]) {
+        // Typed payloads stream through several stack chunks; the shared
+        // form of the same payload is checksummed in one piece.
+        let mut le = Vec::new();
+        data.to_le_bytes(&mut le);
+        let want = crc32(&le);
+        let shared = ArrayData::from_le_shared(data.dtype(), data.len(), bytes::Bytes::from(le)).unwrap();
+        for payload in [data, shared] {
+            let ds = Dataset::new("x", vec![payload.len()], payload).unwrap();
+            prop_assert_eq!(rocsdf::payload_crc32(&ds), want);
+        }
+    }
+}
+
+/// Bit-at-a-time CRC-32 (ISO-HDLC): the definition the table-driven
+/// kernels must reproduce.
+fn bitwise_crc32(bytes: &[u8]) -> u32 {
+    let mut crc: u32 = 0xFFFF_FFFF;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// `data` cut at the given (sorted, possibly repeated) positions.
+fn split_at_cuts<'a>(data: &'a [u8], cuts: &[prop::sample::Index]) -> Vec<&'a [u8]> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+    at.sort_unstable();
+    let mut pieces = Vec::new();
+    let mut start = 0;
+    for end in at.into_iter().chain([data.len()]) {
+        pieces.push(&data[start..end]);
+        start = end;
+    }
+    pieces
 }
